@@ -8,24 +8,12 @@ or worker processes.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 PSD_EIGENVALUE_FLOOR = -1e-10
-
-
-class SpectralDecomposition(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix with eigenvalues descending."""
-
-    eigenvalues: np.ndarray   # real, shape (d,), sorted descending
-    eigenvectors: np.ndarray  # complex, shape (d, d); column k pairs with eigenvalues[k]
-
-    def reconstruct(self) -> np.ndarray:
-        """Return ``V diag(w) V^dagger``."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
 
 
 def as_matrix(m) -> np.ndarray:
@@ -75,23 +63,20 @@ def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
     return reduced.reshape(d_keep, d_keep)
 
 
-def hermitian_eig(m) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    a = as_matrix(m)
-    defect = hermiticity_defect(a)
-    if defect > HERMITICITY_ATOL:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_ATOL})")
-    w, v = np.linalg.eigh(a)
-    return SpectralDecomposition(w[::-1].copy(), v[:, ::-1].copy())
-
-
 def psd_sqrt(m) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in ``[PSD_EIGENVALUE_FLOOR, 0)`` are clamped to zero as
     floating-point noise; anything below the floor raises.
     """
-    w, v = hermitian_eig(m)
+    a = as_matrix(m)
+    defect = hermiticity_defect(a)
+    if defect > HERMITICITY_ATOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_ATOL})")
+    w, v = np.linalg.eigh(a)
+    # Descending eigen-order: the summation order of the root, and so its
+    # last bits, depend on it.
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
     lowest = float(w.min())
     if lowest < PSD_EIGENVALUE_FLOOR:
         raise ValueError(

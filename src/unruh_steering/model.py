@@ -93,6 +93,13 @@ class ModelParams:
             if not 0.0 <= r <= R_MAX:
                 raise ValueError(f"acceleration parameter {name}={r} outside [0, pi/4]")
 
+    @classmethod
+    def for_scenario(cls, scenario: Scenario, p: float, r: float, phi: float = 0.0) -> "ModelParams":
+        """Parameters with ``r`` on the subsystem(s) ``scenario`` accelerates."""
+        r_q = r if scenario in (Scenario.QUBIT, Scenario.BOTH) else 0.0
+        r_t = r if scenario in (Scenario.QUTRIT, Scenario.BOTH) else 0.0
+        return cls(p=p, r_q=r_q, r_t=r_t, phi=phi, scenario=scenario)
+
 
 @dataclass(frozen=True)
 class RegionIState:

@@ -7,34 +7,80 @@ are byte-identical regardless of the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .measures import Convention, decoherence_triple, lqu, steering_report
-from .model import ModelParams, R_MAX, Scenario, accelerate_closed, initial_state
-
-QUANTITIES = (
-    "d_total",
-    "d_qubit",
-    "d_qutrit",
-    "lqu",
-    "s_ab_oracle",
-    "s_ba_oracle",
-    "i_ab_closed",
-    "i_ba_closed",
-    "steer_ab",
-    "steer_ba",
-    "steer_diff",
+from .measures import (
+    Convention,
+    DecoherenceReport,
+    Direction,
+    decoherence_triple,
+    lqu,
+    steering_closed,
+    steering_degrees,
+    steering_sum_oracle,
 )
+from .model import ModelParams, R_MAX, RegionIState, Scenario, accelerate_closed, initial_state
 
-_DECOHERENCE_QUANTITIES = frozenset(("d_total", "d_qubit", "d_qutrit"))
-_STEERING_QUANTITIES = frozenset(
-    ("s_ab_oracle", "s_ba_oracle", "i_ab_closed", "i_ba_closed", "steer_ab", "steer_ba", "steer_diff")
-)
+
+class _Point:
+    """One evaluated grid point.  Each shared intermediate is computed on
+    first read and at most once, so a quantity costs only what it reads."""
+
+    def __init__(self, state: RegionIState, convention: Convention):
+        self.state = state
+        self.convention = convention
+
+    @cached_property
+    def decoherence(self) -> DecoherenceReport:
+        return decoherence_triple(self.state)
+
+    @cached_property
+    def i_ab(self) -> float:
+        return steering_closed(self.state, Direction.A_TO_B)
+
+    @cached_property
+    def i_ba(self) -> float:
+        return steering_closed(self.state, Direction.B_TO_A)
+
+    @cached_property
+    def s_ab(self) -> float:
+        return steering_sum_oracle(self.state, Direction.A_TO_B)
+
+    @cached_property
+    def s_ba(self) -> float:
+        return steering_sum_oracle(self.state, Direction.B_TO_A)
+
+    @cached_property
+    def degrees(self) -> tuple[float, float]:
+        if self.convention is Convention.AS_PRINTED:
+            return steering_degrees(self.i_ab, self.i_ba, self.convention)
+        return steering_degrees(self.s_ab, self.s_ba, self.convention)
+
+
+# Every quantity a sweep can request, with the function that reads it from a point.
+_QUANTITY_TABLE = {
+    "d_total": lambda point: point.decoherence.d_total,
+    "d_qubit": lambda point: point.decoherence.d_qubit,
+    "d_qutrit": lambda point: point.decoherence.d_qutrit,
+    "lqu": lambda point: lqu(point.state).value,
+    "s_ab_oracle": lambda point: point.s_ab,
+    "s_ba_oracle": lambda point: point.s_ba,
+    "i_ab_closed": lambda point: point.i_ab,
+    "i_ba_closed": lambda point: point.i_ba,
+    "steer_ab": lambda point: point.degrees[0],
+    "steer_ba": lambda point: point.degrees[1],
+    "steer_diff": lambda point: abs(point.degrees[0] - point.degrees[1]),
+}
+
+QUANTITIES = tuple(_QUANTITY_TABLE)
 
 CSV_HEADER = "scenario,p,r_q,r_t,phi,quantity,value"
 
@@ -85,6 +131,8 @@ class SweepConfig:
             raise ConfigError("r grid is empty")
         if not self.quantities:
             raise ConfigError("no quantities requested")
+        if not math.isfinite(self.phi):
+            raise ConfigError(f"phi={self.phi} is not finite")
         for p in self.p_values:
             if not 0.0 <= p <= 0.5:
                 raise ConfigError(f"p={p} outside [0, 0.5]")
@@ -98,48 +146,23 @@ class SweepConfig:
             raise ConfigError(f"workers must be positive, got {self.workers}")
 
 
-def _effective_r(scenario: Scenario, r: float) -> tuple[float, float]:
-    if scenario is Scenario.NONE:
-        return 0.0, 0.0
-    if scenario is Scenario.QUBIT:
-        return r, 0.0
-    if scenario is Scenario.QUTRIT:
-        return 0.0, r
-    return r, r
-
-
 def _evaluate_point(task) -> list[SweepRecord]:
     scenario_value, p, r, phi, quantities, convention_value = task
-    scenario = Scenario(scenario_value)
-    convention = Convention(convention_value)
-    r_q, r_t = _effective_r(scenario, r)
-    if scenario is Scenario.NONE:
+    params = ModelParams.for_scenario(Scenario(scenario_value), p, r, phi)
+    if params.scenario is Scenario.NONE:
         state = initial_state(p)
     else:
-        state = accelerate_closed(ModelParams(p=p, r_q=r_q, r_t=r_t, phi=phi, scenario=scenario))
-
-    values: dict[str, float] = {}
-    requested = set(quantities)
-    if requested & _DECOHERENCE_QUANTITIES:
-        triple = decoherence_triple(state)
-        values.update(d_total=triple.d_total, d_qubit=triple.d_qubit, d_qutrit=triple.d_qutrit)
-    if "lqu" in requested:
-        values["lqu"] = lqu(state).value
-    if requested & _STEERING_QUANTITIES:
-        report = steering_report(state, convention)
-        values.update(
-            s_ab_oracle=report.s_ab_oracle,
-            s_ba_oracle=report.s_ba_oracle,
-            i_ab_closed=report.i_ab_closed,
-            i_ba_closed=report.i_ba_closed,
-            steer_ab=report.steer_ab,
-            steer_ba=report.steer_ba,
-            steer_diff=abs(report.steer_ab - report.steer_ba),
-        )
+        state = accelerate_closed(params)
+    point = _Point(state, Convention(convention_value))
     return [
-        SweepRecord(scenario.value, p, r_q, r_t, phi, quantity, values[quantity])
-        for quantity in quantities
+        SweepRecord(scenario_value, p, params.r_q, params.r_t, phi, name, _QUANTITY_TABLE[name](point))
+        for name in quantities
     ]
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Worker processes to start: the request, capped by the CPUs and the tasks."""
+    return max(1, min(workers, os.cpu_count() or 1, tasks))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -150,11 +173,12 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
         for p in config.p_values
         for r in config.r_values
     ]
-    if config.workers == 1 or len(tasks) <= 1:
+    workers = _pool_size(config.workers, len(tasks))
+    if workers == 1:
         batches = map(_evaluate_point, tasks)
     else:
-        chunk = max(1, len(tasks) // (config.workers * 4))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        chunk = max(1, len(tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_evaluate_point, tasks, chunksize=chunk))
     records = [record for batch in batches for record in batch]
     for record in records:
@@ -169,16 +193,23 @@ def format_value(value: float) -> str:
     value = float(value)
     if value == 0.0:
         return "0.000000000000"
-    decimals = max(0, 11 - math.floor(math.log10(abs(value))))
+    # The exponent of the value as rounded, so 9.9999999999999 renders as 10.0000000000.
+    exponent = math.floor(math.log10(abs(float(f"{value:.11e}"))))
+    decimals = max(0, 11 - exponent)
     return f"{value:.{decimals}f}"
 
 
 def write_output(records, path, fmt: str = "csv") -> None:
-    """Persist records as CSV (pinned header, 12 significant digits) or JSON."""
+    """Persist records as CSV (pinned header, 12 significant digits) or JSON.
+
+    The file is rendered into a temporary file beside ``path`` and moved
+    into place, so a failed write leaves ``path`` as it was.
+    """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             if fmt == "csv":
                 fh.write(CSV_HEADER + "\n")
                 for rec in records:
@@ -190,8 +221,12 @@ def write_output(records, path, fmt: str = "csv") -> None:
             else:
                 json.dump([asdict(rec) for rec in records], fh, indent=2)
                 fh.write("\n")
+        os.replace(tmp, path)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 def _r_grid(steps: int = DEFAULT_R_STEPS) -> tuple[float, ...]:
@@ -241,15 +276,4 @@ def preset_config(name: str, workers: int = 1) -> SweepConfig:
     table = _preset_table()
     if name not in table:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(table))}")
-    base = table[name]
-    if workers == base.workers:
-        return base
-    return SweepConfig(
-        scenario=base.scenario,
-        p_values=base.p_values,
-        r_values=base.r_values,
-        phi=base.phi,
-        quantities=base.quantities,
-        convention=base.convention,
-        workers=workers,
-    )
+    return replace(table[name], workers=workers)

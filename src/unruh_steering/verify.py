@@ -22,8 +22,8 @@ from .measures import (
     linear_entropy,
     lqu,
     standard_observables,
-    steerability,
     steering_closed,
+    steering_degrees,
     steering_report,
     steering_sum_oracle,
 )
@@ -77,12 +77,6 @@ class VerificationReport:
         return out
 
 
-def _params(scenario: Scenario, p: float, r: float, phi: float = 0.0) -> ModelParams:
-    r_q = r if scenario in (Scenario.QUBIT, Scenario.BOTH) else 0.0
-    r_t = r if scenario in (Scenario.QUTRIT, Scenario.BOTH) else 0.0
-    return ModelParams(p=p, r_q=r_q, r_t=r_t, phi=phi, scenario=scenario)
-
-
 def _grid_states(include_oracle: bool = False):
     """All states of the verify grid (closed route, optionally oracle too)."""
     for p in GRID_P:
@@ -90,7 +84,7 @@ def _grid_states(include_oracle: bool = False):
     for scenario in (Scenario.QUBIT, Scenario.QUTRIT, Scenario.BOTH):
         for p in GRID_P:
             for r in GRID_R:
-                params = _params(scenario, p, r)
+                params = ModelParams.for_scenario(scenario, p, r)
                 yield accelerate_closed(params)
                 if include_oracle:
                     yield accelerate_oracle(params)
@@ -102,7 +96,7 @@ def _check_closed_vs_oracle(scenario: Scenario) -> CheckResult:
     for p in GRID_P:
         for r in GRID_R:
             for phi in GRID_PHI:
-                params = _params(scenario, p, r, phi)
+                params = ModelParams.for_scenario(scenario, p, r, phi)
                 dev = float(np.abs(accelerate_closed(params).matrix - accelerate_oracle(params).matrix).max())
                 worst = max(worst, dev)
     elapsed = time.perf_counter() - started
@@ -162,7 +156,7 @@ def _check_r_zero() -> CheckResult:
     worst = 0.0
     for scenario in (Scenario.QUBIT, Scenario.QUTRIT, Scenario.BOTH):
         for p in GRID_P:
-            params = _params(scenario, p, 0.0, phi=0.7)
+            params = ModelParams.for_scenario(scenario, p, 0.0, phi=0.7)
             padded = pad_to_accelerated(initial_state(p)).matrix
             for route in (accelerate_closed, accelerate_oracle):
                 worst = max(worst, float(np.abs(route(params).matrix - padded).max()))
@@ -174,9 +168,9 @@ def _check_phi_independence() -> CheckResult:
     for scenario in (Scenario.QUTRIT, Scenario.BOTH):
         for p in GRID_P:
             for r in GRID_R[1:]:
-                base = accelerate_oracle(_params(scenario, p, r, GRID_PHI[0])).matrix
+                base = accelerate_oracle(ModelParams.for_scenario(scenario, p, r, GRID_PHI[0])).matrix
                 for phi in GRID_PHI[1:]:
-                    other = accelerate_oracle(_params(scenario, p, r, phi)).matrix
+                    other = accelerate_oracle(ModelParams.for_scenario(scenario, p, r, phi)).matrix
                     worst = max(worst, float(np.abs(base - other).max()))
     return CheckResult("phi_independence", worst < 1e-14, worst)
 
@@ -267,19 +261,21 @@ def _trend_degrees(scenario: Scenario, p: float, r_values) -> dict[str, list[tup
         "deficit-swapped": [],
     }
     for r in r_values:
-        state = accelerate_closed(_params(scenario, p, r))
-        i_ab = steering_closed(state, Direction.A_TO_B)
-        i_ba = steering_closed(state, Direction.B_TO_A)
-        s_ab = steering_sum_oracle(state, Direction.A_TO_B)
-        s_ba = steering_sum_oracle(state, Direction.B_TO_A)
-        from_ab_form = steerability(i_ab, Direction.A_TO_B, Convention.AS_PRINTED)
-        from_ba_form = steerability(i_ba, Direction.B_TO_A, Convention.AS_PRINTED)
-        deficit_ab = steerability(s_ab, Direction.A_TO_B, Convention.DEFICIT_NORMALIZED)
-        deficit_ba = steerability(s_ba, Direction.B_TO_A, Convention.DEFICIT_NORMALIZED)
-        curves["as-printed"].append((from_ab_form, from_ba_form))
-        curves["as-printed-swapped"].append((from_ba_form, from_ab_form))
-        curves["deficit"].append((deficit_ab, deficit_ba))
-        curves["deficit-swapped"].append((deficit_ba, deficit_ab))
+        state = accelerate_closed(ModelParams.for_scenario(scenario, p, r))
+        printed = steering_degrees(
+            steering_closed(state, Direction.A_TO_B),
+            steering_closed(state, Direction.B_TO_A),
+            Convention.AS_PRINTED,
+        )
+        deficit = steering_degrees(
+            steering_sum_oracle(state, Direction.A_TO_B),
+            steering_sum_oracle(state, Direction.B_TO_A),
+            Convention.DEFICIT_NORMALIZED,
+        )
+        curves["as-printed"].append(printed[::-1])
+        curves["as-printed-swapped"].append(printed)
+        curves["deficit"].append(deficit)
+        curves["deficit-swapped"].append(deficit[::-1])
     return curves
 
 

@@ -1,7 +1,8 @@
 import pytest
 
+from unruh_steering import cli, sweep
 from unruh_steering.cli import main
-from unruh_steering.sweep import CSV_HEADER
+from unruh_steering.sweep import CSV_HEADER, SweepRecord
 
 
 class TestSweepCommand:
@@ -57,6 +58,40 @@ class TestSweepCommand:
         )
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    def test_non_finite_phi_is_config_error_and_writes_nothing(self, tmp_path, capsys, phi):
+        out = tmp_path / "x.csv"
+        code = main(
+            ["sweep", "--scenario", "qutrit", "--p", "0.1", f"--phi={phi}",
+             "--quantities", "d_total", "--out", str(out)]
+        )
+        assert code == 1
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_render_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fail_on_value(value):
+            calls.append(value)
+            if len(calls) > 5:  # the first record's fields render, then rendering fails
+                raise ValueError("render failed")
+            return "0"
+
+        monkeypatch.setattr(sweep, "format_value", fail_on_value)
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="render failed"):
+            main(["sweep", "--scenario", "none", "--p", "0.1,0.2", "--quantities", "d_total",
+                  "--out", str(out)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_value_rounding_to_a_power_of_ten_keeps_twelve_digits(self, tmp_path, monkeypatch):
+        record = SweepRecord("none", 0.1, 0.0, 0.0, 0.0, "d_total", 9.9999999999999)
+        monkeypatch.setattr(cli, "run_sweep", lambda config: [record])
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--scenario", "none", "--p", "0.1", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].endswith(",d_total,10.0000000000")
 
     def test_missing_required_setting(self, capsys):
         assert main(["sweep", "--p", "0.1"]) == 1

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from unruh_steering.linalg import (
-    hermitian_eig,
     hermiticity_defect,
     kron,
     partial_trace,
@@ -105,38 +104,6 @@ class TestPartialTrace:
             partial_trace(np.eye(6), (2, 3), keep=keep)
 
 
-class TestHermitianEig:
-    def test_diagonal_input_sorted_descending(self):
-        w, v = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [3.0, 2.0, 1.0])
-        assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-14)
-
-    def test_rank_one_projector(self):
-        w, v = hermitian_eig(np.full((2, 2), 0.5))
-        assert np.allclose(w, [1.0, 0.0], atol=1e-14)
-        overlap = abs(v[:, 0] @ np.array([1, 1]) / np.sqrt(2))
-        assert overlap == pytest.approx(1.0, abs=1e-14)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            m = random_hermitian(rng, 8)
-            dec = hermitian_eig(m)
-            assert np.abs(dec.reconstruct() - m).max() < 1e-12
-            assert np.abs(dec.eigenvectors.conj().T @ dec.eigenvectors - np.eye(8)).max() < 1e-12
-
-    def test_eigenvalue_sum_equals_trace(self):
-        rng = np.random.default_rng(22)
-        for dim in (2, 3, 6, 8):
-            m = random_hermitian(rng, dim)
-            w, _ = hermitian_eig(m)
-            assert w.sum() == pytest.approx(m.trace().real, abs=1e-12)
-
-    def test_non_hermitian_raises(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 class TestPsdSqrt:
     def test_diagonal_roots(self):
         assert np.allclose(psd_sqrt(np.diag([4.0, 9.0, 0.0])), np.diag([2.0, 3.0, 0.0]), atol=1e-14)
@@ -166,3 +133,7 @@ class TestPsdSqrt:
     def test_rejects_genuinely_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="not positive semidefinite"):
             psd_sqrt(np.diag([1.0, -1e-9]))
+
+    def test_non_hermitian_raises(self):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))

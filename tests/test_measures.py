@@ -15,10 +15,10 @@ from unruh_steering.measures import (
     joint_distribution,
     linear_entropy,
     lqu,
-    overlap_bound,
     standard_observables,
     steerability,
     steering_closed,
+    steering_degrees,
     steering_report,
     steering_sum_oracle,
 )
@@ -236,18 +236,11 @@ class TestConditionalEntropy:
         joint = JointDistribution((1.0, -1.0), (1.0, -1.0), np.full((2, 2), 0.25))
         assert conditional_entropy(joint) == pytest.approx(1.0, abs=1e-15)
 
-    def test_swap_exchanges_conditioning(self):
-        state = initial_state(0.2)
-        joint = joint_distribution(
-            state, standard_observables("qubit")[0], standard_observables("qutrit")[0]
-        )
-        forward = conditional_entropy(joint)
-        backward = conditional_entropy(joint.swap())
-        from unruh_steering.measures import _entropy_bits
-
-        assert forward - backward == pytest.approx(
-            _entropy_bits(joint.marginal_b()) - _entropy_bits(joint.marginal_a()), abs=1e-12
-        )
+    def test_b_to_a_conditions_on_b(self):
+        # A is a deterministic function of B, not the other way round
+        joint = JointDistribution((1.0, -1.0), (1.0, 0.0, -1.0), [[0.25, 0.25, 0.0], [0.0, 0.0, 0.5]])
+        assert conditional_entropy(joint, Direction.A_TO_B) == pytest.approx(0.5, abs=1e-15)
+        assert conditional_entropy(joint, Direction.B_TO_A) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestSteeringSums:
@@ -262,6 +255,21 @@ class TestSteeringSums:
             marginal_sum += _entropy_bits(joint.marginal_b())
         assert total == pytest.approx(marginal_sum, abs=1e-12)
         assert total == pytest.approx(3 * math.log2(3), abs=1e-12)
+
+    def test_directions_differ_by_marginal_entropies(self):
+        # H(B|A) - H(A|B) = H(B) - H(A) for each of the three settings
+        from unruh_steering.measures import _entropy_bits
+
+        accelerated = accelerate_closed(ModelParams.for_scenario(Scenario.BOTH, 0.2, 0.5))
+        for state in (initial_state(0.2), accelerated):
+            space = "extended_qutrit" if state.is_accelerated else "qutrit"
+            marginal_gap = 0.0
+            for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables(space)):
+                joint = joint_distribution(state, obs_a, obs_b)
+                marginal_gap += _entropy_bits(joint.marginal_b()) - _entropy_bits(joint.marginal_a())
+            forward = steering_sum_oracle(state, Direction.A_TO_B)
+            backward = steering_sum_oracle(state, Direction.B_TO_A)
+            assert forward - backward == pytest.approx(marginal_gap, abs=1e-12)
 
     def test_pure_state_anchors(self):
         state = initial_state(0.0)
@@ -378,29 +386,15 @@ class TestSteeringReport:
         assert report.steer_ab == pytest.approx((3.0 - report.s_ab_oracle) / 3.0)
         assert report.steer_ba == pytest.approx((2.0 - report.s_ba_oracle) / 2.0)
 
+    def test_degrees_exchange_labels_only_as_printed(self):
+        printed_ab = steerability(3.5, Direction.A_TO_B, Convention.AS_PRINTED)
+        printed_ba = steerability(2.25, Direction.B_TO_A, Convention.AS_PRINTED)
+        assert steering_degrees(3.5, 2.25, Convention.AS_PRINTED) == (printed_ba, printed_ab)
+        deficit_ab = steerability(1.5, Direction.A_TO_B, Convention.DEFICIT_NORMALIZED)
+        deficit_ba = steerability(0.5, Direction.B_TO_A, Convention.DEFICIT_NORMALIZED)
+        assert steering_degrees(1.5, 0.5, Convention.DEFICIT_NORMALIZED) == (deficit_ab, deficit_ba)
+
     def test_pure_state_saturates_as_printed_degrees(self):
         report = steering_report(initial_state(0.0))
         assert report.steer_ab == pytest.approx(1.0, abs=1e-12)
         assert report.steer_ba == pytest.approx(1.0, abs=1e-12)
-
-
-class TestOverlapBound:
-    def test_identical_observables(self):
-        obs = standard_observables("qutrit")[0]
-        bound = overlap_bound(obs, obs)
-        assert bound.omega == pytest.approx(1.0, abs=1e-12)
-        assert bound.log2_omega == pytest.approx(0.0, abs=1e-12)
-
-    def test_qubit_mutually_unbiased_pair(self):
-        sx, _, sz = standard_observables("qubit")
-        bound = overlap_bound(sx, sz)
-        assert bound.omega == pytest.approx(0.5, abs=1e-12)
-        assert bound.neg_log2_omega == pytest.approx(1.0, abs=1e-12)
-
-    def test_qutrit_x_y_pair(self):
-        sx, sy, _ = standard_observables("qutrit")
-        assert overlap_bound(sx, sy).omega == pytest.approx(0.5, abs=1e-12)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="different spaces"):
-            overlap_bound(standard_observables("qubit")[0], standard_observables("qutrit")[0])

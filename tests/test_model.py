@@ -51,6 +51,20 @@ class TestModelParams:
         assert params.scenario is Scenario.NONE
         assert params.phi == 0.0
 
+    @pytest.mark.parametrize(
+        "scenario, r_q, r_t",
+        [
+            (Scenario.NONE, 0.0, 0.0),
+            (Scenario.QUBIT, 0.4, 0.0),
+            (Scenario.QUTRIT, 0.0, 0.4),
+            (Scenario.BOTH, 0.4, 0.4),
+        ],
+    )
+    def test_for_scenario_places_r(self, scenario, r_q, r_t):
+        assert ModelParams.for_scenario(scenario, 0.1, 0.4, phi=0.7) == ModelParams(
+            p=0.1, r_q=r_q, r_t=r_t, phi=0.7, scenario=scenario
+        )
+
 
 class TestInitialState:
     def test_p_zero_is_the_bell_like_pure_state(self):

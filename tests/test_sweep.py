@@ -3,12 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unruh_steering.model import R_MAX, Scenario
+from unruh_steering import measures, sweep
+from unruh_steering.measures import Convention, decoherence_triple, lqu, steering_report
+from unruh_steering.model import ModelParams, R_MAX, Scenario, accelerate_closed, initial_state
 from unruh_steering.sweep import (
     CSV_HEADER,
     ConfigError,
     PRESET_NAMES,
+    QUANTITIES,
     SweepConfig,
     SweepRecord,
     format_value,
@@ -42,6 +47,12 @@ class TestConfigValidation:
     def test_bad_workers(self):
         config = SweepConfig(Scenario.NONE, p_values=(0.1,), quantities=("d_total",), workers=0)
         with pytest.raises(ConfigError, match="workers"):
+            config.validate()
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi(self, phi):
+        config = SweepConfig(Scenario.QUTRIT, p_values=(0.1,), phi=phi, quantities=("d_total",))
+        with pytest.raises(ConfigError, match="not finite"):
             config.validate()
 
     def test_validation_happens_before_computation(self):
@@ -101,6 +112,23 @@ class TestRunSweep:
         write_output(parallel, path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
+    def test_pool_size_is_capped_by_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: 2)
+        assert sweep._pool_size(1, 100) == 1
+        assert sweep._pool_size(2, 100) == 2
+        assert sweep._pool_size(10**6, 100) == 2
+        assert sweep._pool_size(10**6, 1) == 1
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: None)
+        assert sweep._pool_size(4, 100) == 1
+
+    def test_single_task_never_starts_a_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        config = SweepConfig(Scenario.QUBIT, p_values=(0.1,), quantities=("d_total",), workers=10**6)
+        assert len(run_sweep(config)) == 1
+
     def test_scenario_maps_r_to_the_accelerated_subsystem(self):
         config = SweepConfig(Scenario.QUTRIT, p_values=(0.1,), r_values=(0.4,), quantities=("d_total",))
         record = run_sweep(config)[0]
@@ -119,6 +147,18 @@ class TestFormatValue:
     def test_twelve_significant_digits(self):
         assert format_value(0.19634954084936207) == "0.196349540849"
         assert format_value(4.0) == "4.00000000000"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (9.9999999999999, "10.0000000000"),
+            (0.99999999999999, "1.00000000000"),
+            (-0.099999999999999, "-0.100000000000"),
+            (9.99999999999, "9.99999999999"),
+        ],
+    )
+    def test_rounding_up_to_a_power_of_ten_keeps_twelve_digits(self, value, text):
+        assert format_value(value) == text
 
 
 class TestWriteOutput:
@@ -155,6 +195,16 @@ class TestWriteOutput:
         with pytest.raises(OSError, match="missing"):
             write_output([], tmp_path / "missing" / "x.csv", "csv")
 
+    def test_failed_render_leaves_the_target_untouched(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("previous\n")
+        good = SweepRecord("none", 0.0, 0.0, 0.0, 0.0, "d_qubit", 0.5)
+        bad = SweepRecord("none", 0.1, 0.0, 0.0, 0.0, "d_qubit", math.nan)
+        with pytest.raises(ValueError):
+            write_output([good, bad], path, "csv")
+        assert path.read_text() == "previous\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["out.csv"]
+
 
 class TestPresets:
     def test_all_presets_enumerate_and_validate(self):
@@ -185,3 +235,49 @@ class TestPresets:
 
     def test_workers_override(self):
         assert preset_config("fig1a", workers=4).workers == 4
+
+
+def _reference_values(scenario, p, r, phi, convention):
+    """Every quantity of one point from the per-point public functions."""
+    params = ModelParams.for_scenario(scenario, p, r, phi)
+    state = initial_state(p) if scenario is Scenario.NONE else accelerate_closed(params)
+    triple = decoherence_triple(state)
+    report = steering_report(state, convention)
+    return {
+        "d_total": triple.d_total,
+        "d_qubit": triple.d_qubit,
+        "d_qutrit": triple.d_qutrit,
+        "lqu": lqu(state).value,
+        "s_ab_oracle": report.s_ab_oracle,
+        "s_ba_oracle": report.s_ba_oracle,
+        "i_ab_closed": report.i_ab_closed,
+        "i_ba_closed": report.i_ba_closed,
+        "steer_ab": report.steer_ab,
+        "steer_ba": report.steer_ba,
+        "steer_diff": abs(report.steer_ab - report.steer_ba),
+    }
+
+
+class TestQuantityTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scenario=st.sampled_from(list(Scenario)),
+        p=st.floats(0.0, 0.5),
+        r=st.floats(0.0, R_MAX),
+        phi=st.floats(-10.0, 10.0),
+        convention=st.sampled_from(list(Convention)),
+    )
+    def test_every_quantity_equals_the_per_point_reference(self, scenario, p, r, phi, convention):
+        config = SweepConfig(scenario, p_values=(p,), r_values=(r,), phi=phi, convention=convention)
+        records = run_sweep(config)
+        assert sorted(rec.quantity for rec in records) == sorted(QUANTITIES)
+        expected = _reference_values(scenario, p, r, phi, convention)
+        assert {rec.quantity: rec.value for rec in records} == expected
+
+    @pytest.mark.parametrize("name", ["fig3a", "fig3b", "fig4a"])
+    def test_closed_form_presets_build_no_joint_tables(self, name, monkeypatch):
+        def no_joint_tables(*args, **kwargs):
+            raise AssertionError("joint table built for a closed-form quantity")
+
+        monkeypatch.setattr(measures, "joint_distribution", no_joint_tables)
+        assert len(run_sweep(preset_config(name))) == 101 * len(preset_config(name).quantities)
