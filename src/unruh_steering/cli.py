@@ -26,6 +26,8 @@ from .verify import run_verify
 
 _CONVENTIONS = {conv.value: conv for conv in Convention}
 
+R_STEPS_MAX = 100_000  # largest --r step count; checked before the grid is allocated
+
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that reports usage problems as ConfigError (exit 1)."""
@@ -54,8 +56,8 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
         steps = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--r: {exc}") from exc
-    if steps < 1:
-        raise ConfigError(f"--r: steps must be >= 1, got {steps}")
+    if not 1 <= steps <= R_STEPS_MAX:
+        raise ConfigError(f"--r: steps must be in [1, {R_STEPS_MAX}], got {steps}")
     if steps == 1:
         return (start,)
     return tuple(float(r) for r in np.linspace(start, end, steps))

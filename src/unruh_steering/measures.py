@@ -54,13 +54,14 @@ class SteeringBound:
 STEERING_BOUNDS = SteeringBound()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian operator with explicit spectral projectors.
 
     ``spectrum`` pairs each real outcome with its projector; projectors
     must be orthogonal, idempotent and complete, and must reconstruct the
-    matrix as sum(outcome * projector).
+    matrix as sum(outcome * projector).  Instances compare and hash by
+    identity, so operator stacks built from them can be cached.
     """
 
     name: str
@@ -256,6 +257,15 @@ class LquReport:
     value: float
 
 
+@lru_cache(maxsize=None)
+def _local_paulis(n: int) -> np.ndarray:
+    """The (3, 2n, 2n) stack of S_i x I_n over the qubit Paulis."""
+    eye_n = np.eye(n, dtype=complex)
+    stack = np.array([np.kron(sigma, eye_n) for sigma in _PAULI])
+    stack.setflags(write=False)
+    return stack
+
+
 def lqu(state: RegionIState) -> LquReport:
     """Local quantum uncertainty optimized over the qubit spin operators.
 
@@ -265,12 +275,10 @@ def lqu(state: RegionIState) -> LquReport:
     """
     n = state.factor_dims[1]
     root = psd_sqrt(state.tensor_matrix())
-    eye_n = np.eye(n, dtype=complex)
-    rotated = [root @ np.kron(sigma, eye_n) for sigma in _PAULI]
-    xi = np.empty((3, 3), dtype=float)
-    for i in range(3):
-        for j in range(3):
-            xi[i, j] = np.trace(rotated[i] @ rotated[j]).real
+    # Batched matmuls and traces give the bits of the per-entry loop; an
+    # einsum contraction sums in another order and does not.
+    rotated = root @ _local_paulis(n)
+    xi = np.trace(rotated[:, None] @ rotated[None], axis1=2, axis2=3).real
     asymmetry = float(np.abs(xi - xi.T).max())
     if asymmetry > 1e-10:
         raise ValueError(f"correlation matrix asymmetry {asymmetry:.3e} exceeds tolerance")
@@ -283,6 +291,14 @@ def lqu(state: RegionIState) -> LquReport:
     return LquReport(xi=xi, gammas=tuple(float(g) for g in gammas), value=value)
 
 
+@lru_cache(maxsize=32)
+def _product_projectors(obs_a: Observable, obs_b: Observable) -> np.ndarray:
+    """The (n_a * n_b, d, d) stack of P_a x P_b, outcome pairs in row-major order."""
+    stack = np.array([np.kron(pa, pb) for pa in obs_a.projectors for pb in obs_b.projectors])
+    stack.setflags(write=False)
+    return stack
+
+
 def joint_distribution(state: RegionIState, obs_a: Observable, obs_b: Observable) -> JointDistribution:
     """Outcome statistics p(a, b) = Tr[rho (P_a x P_b)] of a local pair."""
     dq, dt = state.factor_dims
@@ -290,11 +306,8 @@ def joint_distribution(state: RegionIState, obs_a: Observable, obs_b: Observable
         raise ValueError(
             f"observable dimensions ({obs_a.dim}, {obs_b.dim}) do not match state factors ({dq}, {dt})"
         )
-    rho = state.tensor_matrix()
-    table = np.empty((len(obs_a.spectrum), len(obs_b.spectrum)), dtype=float)
-    for i, (_, pa) in enumerate(obs_a.spectrum):
-        for j, (_, pb) in enumerate(obs_b.spectrum):
-            table[i, j] = np.trace(rho @ np.kron(pa, pb)).real
+    probs = np.trace(state.tensor_matrix() @ _product_projectors(obs_a, obs_b), axis1=1, axis2=2).real
+    table = probs.reshape(len(obs_a.spectrum), len(obs_b.spectrum))
     return JointDistribution(obs_a.outcomes, obs_b.outcomes, table)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -154,11 +154,21 @@ class RegionIState:
         return complex(self.matrix[self.basis.index(row), self.basis.index(col)])
 
     def tensor_matrix(self) -> np.ndarray:
-        """The state in natural row-major Kronecker order (2x3 or 2x4)."""
+        """The state in natural row-major Kronecker order (2x3 or 2x4).
+
+        Read-only; reordered on the first call, and every call returns the
+        same array.
+        """
+        return self._tensor
+
+    @cached_property
+    def _tensor(self) -> np.ndarray:
         if self.dim == 6:
-            return np.array(self.matrix)
+            return self.matrix
         idx = np.asarray(_SLOT_OF_NATURAL)
-        return self.matrix[np.ix_(idx, idx)]
+        tensor = self.matrix[np.ix_(idx, idx)]
+        tensor.setflags(write=False)
+        return tensor
 
 
 def initial_state(p: float) -> RegionIState:

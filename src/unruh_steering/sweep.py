@@ -12,8 +12,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -108,6 +109,12 @@ class SweepRecord:
         return (self.scenario, self.p, self.r_q, self.r_t, self.phi, self.quantity)
 
 
+_RECORD_FIELDS = tuple(field.name for field in fields(SweepRecord))
+_record_values = attrgetter(*_RECORD_FIELDS)
+# One record as ``json.dump(..., indent=2)`` lays out an element of the top-level list.
+_JSON_RECORD = "  {{\n" + ",\n".join(f'    "{name}": {{}}' for name in _RECORD_FIELDS) + "\n  }}"
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """A sweep: scenario, grids, quantities and output settings.
@@ -199,15 +206,29 @@ def format_value(value: float) -> str:
     return f"{value:.{decimals}f}"
 
 
+def _json_scalar(value) -> str:
+    """``value`` as ``json.dumps`` renders it; finite floats (numpy ones
+    too) take the shortcut ``json`` itself takes."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
 def write_output(records, path, fmt: str = "csv") -> None:
     """Persist records as CSV (pinned header, 12 significant digits) or JSON.
 
-    The file is rendered into a temporary file beside ``path`` and moved
-    into place, so a failed write leaves ``path`` as it was.
+    JSON bytes are those of ``json.dump([asdict(r) ...], indent=2)`` plus a
+    newline, streamed record by record.  The file is rendered into a
+    temporary file beside the target, symlinks resolved, and moved into
+    place, so a failed write leaves the target as it was.  A target that
+    exists and is not a regular file is rejected untouched.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        raise ConfigError(f"output {path} exists and is not a regular file")
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             if fmt == "csv":
@@ -219,9 +240,13 @@ def write_output(records, path, fmt: str = "csv") -> None:
                         f"{format_value(rec.value)}\n"
                     )
             else:
-                json.dump([asdict(rec) for rec in records], fh, indent=2)
-                fh.write("\n")
-        os.replace(tmp, path)
+                fh.write("[")
+                separator = "\n"
+                for rec in records:
+                    fh.write(separator + _JSON_RECORD.format(*map(_json_scalar, _record_values(rec))))
+                    separator = ",\n"
+                fh.write("]\n" if separator == "\n" else "\n]\n")
+        os.replace(tmp, target)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
     finally:

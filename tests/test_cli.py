@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from unruh_steering import cli, sweep
@@ -47,6 +49,43 @@ class TestSweepCommand:
              "--quantities", "d_total", "--out", str(tmp_path / "x.csv")]
         )
         assert code == 1
+
+    def test_r_steps_above_the_cap_fail_before_the_grid_is_allocated(self, tmp_path, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("np.linspace called")
+
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        out = tmp_path / "x.csv"
+        code = main(
+            ["sweep", "--scenario", "qubit", "--p", "0.1", "--r", "0:0.7:1000000000000",
+             "--quantities", "d_total", "--out", str(out)]
+        )
+        assert code == 1
+        assert "steps must be in" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(sweep.ConfigError):
+            cli._parse_r_grid(f"0:0.7:{cli.R_STEPS_MAX + 1}")
+
+    def test_r_steps_at_the_cap_build_the_grid(self, monkeypatch):
+        calls = []
+
+        def small_grid(start, end, steps):
+            calls.append(steps)
+            return [start, end]
+
+        monkeypatch.setattr(cli.np, "linspace", small_grid)
+        assert cli._parse_r_grid(f"0:0.7:{cli.R_STEPS_MAX}") == (0.0, 0.7)
+        assert calls == [cli.R_STEPS_MAX]
+
+    def test_fifo_out_is_config_error(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        code = main(
+            ["sweep", "--scenario", "none", "--p", "0.1", "--quantities", "d_total",
+             "--out", str(fifo)]
+        )
+        assert code == 1
+        assert "not a regular file" in capsys.readouterr().err
 
     def test_unknown_flag_is_config_error(self, capsys):
         assert main(["sweep", "--scenario", "warp"]) == 1

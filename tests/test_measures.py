@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unruh_steering.linalg import kron
+from unruh_steering.linalg import kron, psd_sqrt
 from unruh_steering.measures import (
     Convention,
     Direction,
     JointDistribution,
+    LquReport,
     Observable,
     STEERING_BOUNDS,
     conditional_entropy,
@@ -29,6 +32,8 @@ from unruh_steering.model import (
     R_MAX,
     RegionIState,
     Scenario,
+    _NATURAL_OF_SLOT,
+    _SLOT_OF_NATURAL,
     accelerate_closed,
     initial_state,
     pad_to_accelerated,
@@ -126,8 +131,6 @@ class TestLqu:
         rotated = kron(np.eye(2), u) @ state.tensor_matrix() @ kron(np.eye(2), u).conj().T
         base = lqu(state).value
         # rotate in the natural order, then undo the label permutation for construction
-        from unruh_steering.model import _NATURAL_OF_SLOT
-
         idx = np.asarray(_NATURAL_OF_SLOT)
         rotated_state = RegionIState(rotated[np.ix_(idx, idx)], state.basis)
         assert lqu(rotated_state).value == pytest.approx(base, abs=1e-10)
@@ -398,3 +401,86 @@ class TestSteeringReport:
         report = steering_report(initial_state(0.0))
         assert report.steer_ab == pytest.approx(1.0, abs=1e-12)
         assert report.steer_ba == pytest.approx(1.0, abs=1e-12)
+
+
+# The per-cell np.kron loops that joint_distribution and lqu ran before they
+# read precomputed operator stacks; kept as references for the bits.
+
+
+def _reordered(state):
+    if state.dim == 6:
+        return np.array(state.matrix)
+    idx = np.asarray(_SLOT_OF_NATURAL)
+    return state.matrix[np.ix_(idx, idx)]
+
+
+def _joint_reference(state, obs_a, obs_b):
+    rho = _reordered(state)
+    table = np.empty((len(obs_a.spectrum), len(obs_b.spectrum)), dtype=float)
+    for i, (_, pa) in enumerate(obs_a.spectrum):
+        for j, (_, pb) in enumerate(obs_b.spectrum):
+            table[i, j] = np.trace(rho @ np.kron(pa, pb)).real
+    return JointDistribution(obs_a.outcomes, obs_b.outcomes, table)
+
+
+def _lqu_reference(state):
+    n = state.factor_dims[1]
+    root = psd_sqrt(_reordered(state))
+    eye_n = np.eye(n, dtype=complex)
+    paulis = (
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+    rotated = [root @ np.kron(sigma, eye_n) for sigma in paulis]
+    xi = np.empty((3, 3), dtype=float)
+    for i in range(3):
+        for j in range(3):
+            xi[i, j] = np.trace(rotated[i] @ rotated[j]).real
+    xi = (xi + xi.T) / 2
+    gammas = np.linalg.eigvalsh(xi)[::-1]
+    value = max(0.0, float(1.0 - gammas[0]))
+    return LquReport(xi=xi, gammas=tuple(float(g) for g in gammas), value=value)
+
+
+def _qubit_rotated(state, theta, alpha, beta):
+    """``state`` under the qubit unitary of angles (theta, alpha, beta):
+    a state with coherences off the X shape."""
+    c, s = math.cos(theta), math.sin(theta)
+    u = np.array(
+        [[c, -np.exp(1j * beta) * s], [np.exp(1j * alpha) * s, np.exp(1j * (alpha + beta)) * c]]
+    )
+    local = np.kron(u, np.eye(state.factor_dims[1]))
+    rotated = local @ state.tensor_matrix() @ local.conj().T
+    if state.dim == 6:
+        return RegionIState(rotated, state.basis)
+    idx = np.asarray(_NATURAL_OF_SLOT)
+    return RegionIState(rotated[np.ix_(idx, idx)], state.basis)
+
+
+class TestKernelBitIdentity:
+    angles = st.floats(0.0, 2 * math.pi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scenario=st.sampled_from(list(Scenario)),
+        p=st.floats(0.0, 0.5),
+        r=st.floats(0.0, R_MAX),
+        phi=st.floats(-10.0, 10.0),
+        rotation=st.none() | st.tuples(angles, angles, angles),
+    )
+    def test_joint_tables_and_lqu_equal_the_kron_loops(self, scenario, p, r, phi, rotation):
+        if scenario is Scenario.NONE:
+            state = initial_state(p)
+        else:
+            state = accelerate_closed(ModelParams.for_scenario(scenario, p, r, phi))
+        if rotation is not None:
+            state = _qubit_rotated(state, *rotation)
+        space = "extended_qutrit" if state.is_accelerated else "qutrit"
+        for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables(space)):
+            got = joint_distribution(state, obs_a, obs_b)
+            assert np.array_equal(got.probs, _joint_reference(state, obs_a, obs_b).probs)
+        got, expected = lqu(state), _lqu_reference(state)
+        assert np.array_equal(got.xi, expected.xi)
+        assert got.gammas == expected.gammas
+        assert got.value == expected.value

@@ -121,6 +121,22 @@ class TestRegionIState:
         assert nat[2, 4] == pytest.approx(state.element((0, 2), (1, 0)))
         assert nat.trace() == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "make_state",
+        [
+            lambda: initial_state(0.2),
+            lambda: accelerate_closed(ModelParams(p=0.2, r_t=0.5, scenario=Scenario.QUTRIT)),
+        ],
+        ids=["inertial", "accelerated"],
+    )
+    def test_tensor_matrix_is_read_only_and_built_once(self, make_state):
+        state = make_state()
+        nat = state.tensor_matrix()
+        assert nat is state.tensor_matrix()
+        assert not nat.flags.writeable
+        with pytest.raises(ValueError):
+            nat[0, 0] = 1.0
+
     def test_padding_keeps_elements(self):
         state = initial_state(0.3)
         padded = pad_to_accelerated(state)

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -204,6 +206,59 @@ class TestWriteOutput:
             write_output([good, bad], path, "csv")
         assert path.read_text() == "previous\n"
         assert [entry.name for entry in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize(
+        "count, value",
+        [(0, None), (1, None), (50, None), (1, np.float64(0.1) / 3), (1, -0.0), (1, 1e-300)],
+        ids=["none", "one", "many", "np-float64", "negative-zero", "tiny"],
+    )
+    def test_json_bytes_equal_json_dump(self, tmp_path, count, value):
+        records = [
+            SweepRecord(
+                "both", np.float64(k / 7), 0.01 * k, R_MAX, -1.5, QUANTITIES[k % len(QUANTITIES)],
+                k / 3 if value is None else value,
+            )
+            for k in range(count)
+        ]
+        path = tmp_path / "records.json"
+        write_output(records, path, "json")
+        expected = json.dumps([dict(vars(r)) for r in records], indent=2) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_symlink_target_is_written_through(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("previous\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        write_output([], link, "csv")
+        assert link.is_symlink()
+        assert real.read_text() == CSV_HEADER + "\n"
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "new.csv")
+        write_output([], link, "csv")
+        assert link.is_symlink()
+        assert (tmp_path / "new.csv").read_text() == CSV_HEADER + "\n"
+
+    @pytest.mark.parametrize("via_link", [False, True])
+    def test_fifo_target_is_rejected_untouched(self, tmp_path, via_link):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        target = fifo
+        if via_link:
+            target = tmp_path / "link.csv"
+            target.symlink_to(fifo)
+        with pytest.raises(ConfigError, match="not a regular file"):
+            write_output([], target, "csv")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert len(list(tmp_path.iterdir())) == (2 if via_link else 1)
+
+    def test_directory_target_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="not a regular file"):
+            write_output([], tmp_path, "json")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPresets:
