@@ -15,6 +15,7 @@ from .measures import Convention
 from .model import R_MAX, Scenario
 from .sweep import (
     ConfigError,
+    GRID_POINTS_MAX,
     PRESET_NAMES,
     QUANTITIES,
     SweepConfig,
@@ -25,8 +26,6 @@ from .sweep import (
 from .verify import run_verify
 
 _CONVENTIONS = {conv.value: conv for conv in Convention}
-
-R_STEPS_MAX = 100_000  # largest --r step count; checked before the grid is allocated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,8 +55,9 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
         steps = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--r: {exc}") from exc
-    if not 1 <= steps <= R_STEPS_MAX:
-        raise ConfigError(f"--r: steps must be in [1, {R_STEPS_MAX}], got {steps}")
+    # Checked before the grid is allocated; the (p, r) grid cap bounds the steps too.
+    if not 1 <= steps <= GRID_POINTS_MAX:
+        raise ConfigError(f"--r: steps must be in [1, {GRID_POINTS_MAX}], got {steps}")
     if steps == 1:
         return (start,)
     return tuple(float(r) for r in np.linspace(start, end, steps))

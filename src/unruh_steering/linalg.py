@@ -30,11 +30,6 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor most significant."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out all tensor factors of ``m`` not listed in ``keep``.
 

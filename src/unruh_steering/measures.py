@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import psd_sqrt
-from .model import PAIR, RegionIState, reduce_qubit, reduce_qutrit
+from .model import FACTOR_DIMS, PAIR, RegionIState, reduce_qubit, reduce_qutrit
 
 PROB_EPS = 1e-15  # probabilities at or below this are treated as exact zeros
 
@@ -192,12 +192,6 @@ class JointDistribution:
         table.setflags(write=False)
         object.__setattr__(self, "probs", table)
 
-    def marginal_a(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def marginal_b(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
 
 def _entropy_bits(probs) -> float:
     p = np.asarray(probs, dtype=float).ravel()
@@ -273,11 +267,10 @@ def lqu(state: RegionIState) -> LquReport:
     Tr[sqrt(rho) (S_i x I) sqrt(rho) (S_j x I)] over the qubit Paulis and
     returns 1 minus its largest eigenvalue.
     """
-    n = state.factor_dims[1]
     root = psd_sqrt(state.tensor_matrix())
     # Batched matmuls and traces give the bits of the per-entry loop; an
     # einsum contraction sums in another order and does not.
-    rotated = root @ _local_paulis(n)
+    rotated = root @ _local_paulis(FACTOR_DIMS[1])
     xi = np.trace(rotated[:, None] @ rotated[None], axis1=2, axis2=3).real
     asymmetry = float(np.abs(xi - xi.T).max())
     if asymmetry > 1e-10:
@@ -301,7 +294,7 @@ def _product_projectors(obs_a: Observable, obs_b: Observable) -> np.ndarray:
 
 def joint_distribution(state: RegionIState, obs_a: Observable, obs_b: Observable) -> JointDistribution:
     """Outcome statistics p(a, b) = Tr[rho (P_a x P_b)] of a local pair."""
-    dq, dt = state.factor_dims
+    dq, dt = FACTOR_DIMS
     if obs_a.dim != dq or obs_b.dim != dt:
         raise ValueError(
             f"observable dimensions ({obs_a.dim}, {obs_b.dim}) do not match state factors ({dq}, {dt})"
@@ -317,15 +310,10 @@ def conditional_entropy(joint: JointDistribution, direction: Direction = Directi
     return _entropy_bits(probs) - _entropy_bits(probs.sum(axis=1))
 
 
-def _observable_pairs(state: RegionIState):
-    space = "extended_qutrit" if state.is_accelerated else "qutrit"
-    return zip(standard_observables("qubit"), standard_observables(space))
-
-
 def steering_sum_oracle(state: RegionIState, direction: Direction) -> float:
     """Sum of the three conditional entropies from measured joint statistics."""
     total = 0.0
-    for obs_a, obs_b in _observable_pairs(state):
+    for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables("extended_qutrit")):
         total += conditional_entropy(joint_distribution(state, obs_a, obs_b), direction)
     return total
 
@@ -333,9 +321,8 @@ def steering_sum_oracle(state: RegionIState, direction: Direction) -> float:
 def steering_closed(state: RegionIState, direction: Direction) -> float:
     """The printed closed-form steering inequality value.
 
-    Consumes matrix elements by basis label, so inertial 2x3 states are
-    implicitly padded with empty pair levels.  Both expressions use the
-    0 log 0 = 0 convention throughout.
+    Consumes the six non-pair populations and the two coherences by basis
+    label.  Both expressions use the 0 log 0 = 0 convention throughout.
     """
     e = state.element
     r11 = e((0, 0), (0, 0)).real

@@ -1,9 +1,10 @@
 """One-parameter qubit-qutrit state and its accelerated region-I output.
 
-The inertial state lives on a 2x3 space with basis |00>, |01>, |02>, |10>,
-|11>, |12> (qubit level first).  Under uniform acceleration the qutrit
-factor gains a fourth level, the doubly occupied pair state, and the
-region-I state is stored in the labeled order
+The inertial state lives on the six levels |00>, |01>, |02>, |10>, |11>,
+|12> (qubit level first).  Under uniform acceleration the qutrit factor
+gains a fourth level, the doubly occupied pair state.  Every region-I
+state, the inertial one included (with empty pair levels), is stored in
+the labeled order
 
     |00>, |01>, |02>, |10>, |11>, |12>, |0 pair>, |1 pair>
 
@@ -47,8 +48,8 @@ PAIR = 3  # extended-qutrit level index of the pair state
 
 BasisLabel = tuple[int, int]  # (qubit level, qutrit level); qutrit level PAIR is the pair state
 
-BASIS_6: tuple[BasisLabel, ...] = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
-BASIS_8: tuple[BasisLabel, ...] = BASIS_6 + ((0, PAIR), (1, PAIR))
+BASIS_8: tuple[BasisLabel, ...] = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (0, PAIR), (1, PAIR))
+FACTOR_DIMS = (2, 4)  # (qubit, extended qutrit) factors of the natural Kronecker order
 
 # labeled slot k of the 8-dim basis sits at row q*4 + t of the natural Kronecker order
 _NATURAL_OF_SLOT = tuple(q * 4 + t for q, t in BASIS_8)             # (0,1,2,4,5,6,3,7)
@@ -103,24 +104,20 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class RegionIState:
-    """Density matrix over region I in the labeled basis order.
-
-    Dimension 6 (inertial, 2x3) or 8 (accelerated, 2x4 with the two pair
-    labels last).  Construction enforces unit trace, Hermiticity and
-    positive semidefiniteness up to floating-point noise.
+    """8x8 density matrix over region I in the labeled basis order
+    ``BASIS_8`` (2x4, the two pair labels last).  Construction enforces
+    unit trace, Hermiticity and positive semidefiniteness up to
+    floating-point noise.
     """
 
     matrix: np.ndarray
-    basis: tuple[BasisLabel, ...]
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        if self.basis not in (BASIS_6, BASIS_8):
-            raise ValueError("basis must be the labeled 6- or 8-dimensional ordering")
-        if m.shape != (len(self.basis), len(self.basis)):
-            raise ValueError(f"matrix shape {m.shape} does not match basis of {len(self.basis)}")
+        if m.shape != (8, 8):
+            raise ValueError(f"matrix shape {m.shape} does not match the 8-dim labeled basis")
         trace_defect = abs(m.trace() - 1.0)
         if trace_defect > 1e-12:
             raise ValueError(f"state trace deviates from 1 by {trace_defect:.3e}")
@@ -131,30 +128,15 @@ class RegionIState:
         if lowest < -1e-10:
             raise ValueError(f"state has negative eigenvalue {lowest:.3e}")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def is_accelerated(self) -> bool:
-        return self.dim == 8
-
-    @property
-    def factor_dims(self) -> tuple[int, int]:
-        """(qubit, qutrit) factor dimensions of the natural tensor order."""
-        return (2, 3) if self.dim == 6 else (2, 4)
-
     def element(self, row: BasisLabel, col: BasisLabel) -> complex:
-        """Matrix element by basis label; pair labels on a 2x3 state read as 0."""
+        """Matrix element by basis label."""
         for label in (row, col):
             if label not in BASIS_8:
                 raise ValueError(f"unknown basis label {label!r}")
-        if row not in self.basis or col not in self.basis:
-            return 0j
-        return complex(self.matrix[self.basis.index(row), self.basis.index(col)])
+        return complex(self.matrix[BASIS_8.index(row), BASIS_8.index(col)])
 
     def tensor_matrix(self) -> np.ndarray:
-        """The state in natural row-major Kronecker order (2x3 or 2x4).
+        """The state in natural row-major Kronecker order (2x4).
 
         Read-only; reordered on the first call, and every call returns the
         same array.
@@ -163,8 +145,6 @@ class RegionIState:
 
     @cached_property
     def _tensor(self) -> np.ndarray:
-        if self.dim == 6:
-            return self.matrix
         idx = np.asarray(_SLOT_OF_NATURAL)
         tensor = self.matrix[np.ix_(idx, idx)]
         tensor.setflags(write=False)
@@ -176,28 +156,20 @@ def initial_state(p: float) -> RegionIState:
 
     Populations p/2 on |00>, |01>, |11>, |12> and (1-2p)/2 on |02>, |10>,
     with coherences p/2 between |00> and |12> and (1-2p)/2 between |02>
-    and |10>.  p = 0 gives the pure state (|02> + |10>)/sqrt(2).
+    and |10>; the pair levels are empty.  p = 0 gives the pure state
+    (|02> + |10>)/sqrt(2).
     """
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"mixing parameter p={p} outside [0, 0.5]")
     half_p = p / 2.0
     half_rest = (1.0 - 2.0 * p) / 2.0
-    m = np.zeros((6, 6), dtype=complex)
+    m = np.zeros((8, 8), dtype=complex)
     for slot in (0, 1, 4, 5):
         m[slot, slot] = half_p
     m[2, 2] = m[3, 3] = half_rest
     m[0, 5] = m[5, 0] = half_p
     m[2, 3] = m[3, 2] = half_rest
-    return RegionIState(m, BASIS_6)
-
-
-def pad_to_accelerated(state: RegionIState) -> RegionIState:
-    """Embed a 2x3 state into the 8-dim labeled basis with empty pair levels."""
-    if state.dim == 8:
-        return state
-    m = np.zeros((8, 8), dtype=complex)
-    m[:6, :6] = state.matrix
-    return RegionIState(m, BASIS_8)
+    return RegionIState(m)
 
 
 def _labeled_matrix(diag, upper) -> np.ndarray:
@@ -289,7 +261,7 @@ def accelerate_closed(params: ModelParams) -> RegionIState:
     else:
         diag, upper = _qutrit_accelerated_elements(params.p, params.r_t)
         diag, upper = _compose_qubit_channel(diag, upper, params.r_q, as_printed=False)
-    return RegionIState(_labeled_matrix(diag, upper), BASIS_8)
+    return RegionIState(_labeled_matrix(diag, upper))
 
 
 def as_printed_both_matrix(params: ModelParams) -> np.ndarray:
@@ -343,7 +315,8 @@ def accelerate_oracle(params: ModelParams) -> RegionIState:
 
     Independent of the closed forms: substitutes the accelerated bases
     into the inertial state, orders the full space as (qubit_I, qutrit_I,
-    qubit_II, qutrit_II) with singleton factors for inertial subsystems,
+    qubit_II, qutrit_II) with singleton region-II factors for inertial
+    subsystems (an inertial qutrit is embedded with an empty pair level),
     traces out the trailing region-II factors, and reorders the result
     into the labeled 8-dim basis.
     """
@@ -353,33 +326,26 @@ def accelerate_oracle(params: ModelParams) -> RegionIState:
     qutrit_on = params.scenario in (Scenario.QUTRIT, Scenario.BOTH)
 
     v_q = _qubit_substitution(params.r_q) if qubit_on else np.eye(2, dtype=complex)
-    v_t = _qutrit_substitution(params.r_t, params.phi) if qutrit_on else np.eye(3, dtype=complex)
+    v_t = _qutrit_substitution(params.r_t, params.phi) if qutrit_on else np.eye(4, 3, dtype=complex)
     dq1, dq2 = (2, 2) if qubit_on else (2, 1)
-    dt1, dt2 = (4, 4) if qutrit_on else (3, 1)
+    dt1, dt2 = (4, 4) if qutrit_on else (4, 1)
 
     # kron gives rows ordered (q_I, q_II, t_I, t_II); move region II to the back
     iso = np.kron(v_q, v_t)
     iso = iso.reshape(dq1, dq2, dt1, dt2, 6).transpose(0, 2, 1, 3, 4).reshape(-1, 6)
 
-    rho6 = initial_state(params.p).matrix
+    rho6 = initial_state(params.p).matrix[:6, :6]
     big = iso @ rho6 @ iso.conj().T
     region1 = partial_trace(big, (dq1, dt1, dq2, dt2), keep=(0, 1))
-
-    if not qutrit_on:
-        # natural 2x3 order coincides with the first six labeled slots
-        m = np.zeros((8, 8), dtype=complex)
-        m[:6, :6] = region1
-    else:
-        idx = np.asarray(_NATURAL_OF_SLOT)
-        m = region1[np.ix_(idx, idx)]
-    return RegionIState(m, BASIS_8)
+    idx = np.asarray(_NATURAL_OF_SLOT)
+    return RegionIState(region1[np.ix_(idx, idx)])
 
 
 def reduce_qubit(state: RegionIState) -> np.ndarray:
     """Qubit marginal (2x2) of a region-I state."""
-    return partial_trace(state.tensor_matrix(), state.factor_dims, keep=(0,))
+    return partial_trace(state.tensor_matrix(), FACTOR_DIMS, keep=(0,))
 
 
 def reduce_qutrit(state: RegionIState) -> np.ndarray:
-    """Qutrit marginal (3x3 inertial, 4x4 accelerated) of a region-I state."""
-    return partial_trace(state.tensor_matrix(), state.factor_dims, keep=(1,))
+    """Extended-qutrit marginal (4x4, pair level last) of a region-I state."""
+    return partial_trace(state.tensor_matrix(), FACTOR_DIMS, keep=(1,))

@@ -87,6 +87,8 @@ CSV_HEADER = "scenario,p,r_q,r_t,phi,quantity,value"
 
 DEFAULT_R_STEPS = 101
 
+GRID_POINTS_MAX = 100_000  # largest (p, r) grid one sweep evaluates; every record is held in memory
+
 
 class ConfigError(ValueError):
     """Invalid sweep configuration; maps to CLI exit code 1."""
@@ -138,6 +140,9 @@ class SweepConfig:
             raise ConfigError("r grid is empty")
         if not self.quantities:
             raise ConfigError("no quantities requested")
+        points = len(self.p_values) * len(self.r_values)
+        if points > GRID_POINTS_MAX:
+            raise ConfigError(f"grid of {points} (p, r) points exceeds the cap of {GRID_POINTS_MAX}")
         if not math.isfinite(self.phi):
             raise ConfigError(f"phi={self.phi} is not finite")
         for p in self.p_values:
@@ -201,9 +206,12 @@ def format_value(value: float) -> str:
     if value == 0.0:
         return "0.000000000000"
     # The exponent of the value as rounded, so 9.9999999999999 renders as 10.0000000000.
-    exponent = math.floor(math.log10(abs(float(f"{value:.11e}"))))
-    decimals = max(0, 11 - exponent)
-    return f"{value:.{decimals}f}"
+    rounded = f"{value:.11e}"
+    exponent = math.floor(math.log10(abs(float(rounded))))
+    if exponent > 11:
+        # Zeros, not the binary value's own digits, after the twelfth digit.
+        return rounded.split("e")[0].replace(".", "") + "0" * (exponent - 11)
+    return f"{value:.{11 - exponent}f}"
 
 
 def _json_scalar(value) -> str:

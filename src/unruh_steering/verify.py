@@ -28,7 +28,7 @@ from .measures import (
     steering_sum_oracle,
 )
 from .model import (
-    BASIS_6,
+    FACTOR_DIMS,
     ModelParams,
     R_MAX,
     RegionIState,
@@ -38,8 +38,8 @@ from .model import (
     as_printed_both_matrix,
     initial_state,
     label_text,
-    pad_to_accelerated,
     reduce_qubit,
+    reduce_qutrit,
 )
 
 GRID_P = (0.0, 0.1, 0.25, 0.4, 0.5)
@@ -157,9 +157,9 @@ def _check_r_zero() -> CheckResult:
     for scenario in (Scenario.QUBIT, Scenario.QUTRIT, Scenario.BOTH):
         for p in GRID_P:
             params = ModelParams.for_scenario(scenario, p, 0.0, phi=0.7)
-            padded = pad_to_accelerated(initial_state(p)).matrix
+            inertial = initial_state(p).matrix
             for route in (accelerate_closed, accelerate_oracle):
-                worst = max(worst, float(np.abs(route(params).matrix - padded).max()))
+                worst = max(worst, float(np.abs(route(params).matrix - inertial).max()))
     return CheckResult("r_zero_reduction", worst < 1e-14, worst)
 
 
@@ -179,26 +179,32 @@ def _check_decoherence() -> CheckResult:
     worst = 0.0
     for p in np.linspace(0.0, 0.5, 11):
         state = initial_state(float(p))
-        closed_form = 1.0 - 1.5 * p * p - (1.0 - 2.0 * p) ** 2
-        worst = max(worst, abs(linear_entropy(state.matrix) - closed_form))
-        worst = max(worst, abs(linear_entropy(reduce_qubit(state)) - 0.5))
+        closed_forms = (
+            (state.matrix, 1.0 - 1.5 * p * p - (1.0 - 2.0 * p) ** 2),
+            (reduce_qubit(state), 0.5),
+            (reduce_qutrit(state), 1.0 - (1.0 - p) ** 2 / 2.0 - p * p),
+        )
+        for m, closed_form in closed_forms:
+            worst = max(worst, abs(linear_entropy(m) - closed_form))
     purity_defect = linear_entropy(initial_state(0.0).matrix)
     worst = max(worst, purity_defect)
 
     range_excess = 0.0  # each entry bounded by 1 - 1/dim of its space
+    dims = (8, *FACTOR_DIMS)  # total, qubit, extended qutrit
     for state in _grid_states():
         triple = decoherence_triple(state)
-        d_qutrit_dim = state.factor_dims[1]
-        for value, dim in ((triple.d_total, state.dim), (triple.d_qubit, 2), (triple.d_qutrit, d_qutrit_dim)):
+        for value, dim in zip((triple.d_total, triple.d_qubit, triple.d_qutrit), dims):
             range_excess = max(range_excess, -value, value - (1.0 - 1.0 / dim) - 1e-12)
     worst = max(worst, max(0.0, range_excess))
     return CheckResult(
-        "decoherence_closed_form", worst < 1e-12, worst, "11 p values; p=0 purity; grid range bounds"
+        "decoherence_closed_form", worst < 1e-12, worst,
+        "11 p values, three closed forms; p=0 purity; grid range bounds",
     )
 
 
 def _check_lqu() -> CheckResult:
-    worst = abs(lqu(RegionIState(np.eye(6) / 6.0, BASIS_6)).value)
+    mixed = np.diag([1.0] * 6 + [0.0] * 2) / 6.0  # maximally mixed over the six inertial levels
+    worst = abs(lqu(RegionIState(mixed)).value)
     worst = max(worst, abs(lqu(initial_state(0.0)).value - 1.0))
     out_of_range = 0.0
     for state in _grid_states():
@@ -211,8 +217,7 @@ def _check_lqu() -> CheckResult:
 def _check_joint_normalization() -> CheckResult:
     worst = 0.0
     for state in _grid_states():
-        space = "extended_qutrit" if state.is_accelerated else "qutrit"
-        for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables(space)):
+        for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables("extended_qutrit")):
             joint = joint_distribution(state, obs_a, obs_b)
             worst = max(worst, abs(float(joint.probs.sum()) - 1.0))
     return CheckResult("joint_normalization", worst < 1e-12, worst, "3 settings x 4 scenarios")
@@ -229,8 +234,9 @@ def _check_steerability_range() -> CheckResult:
 
 
 def _closed_anchor_relation() -> CheckResult:
-    """At the symmetric points p = 0 and p = 0.5 the closed forms equal
-    6 - S_AB and 4 - S_BA; in between they share a p-dependent offset."""
+    """On the inertial line, at the symmetric points p = 0 and p = 0.5, the
+    closed forms equal 6 - S_AB and 4 - S_BA; in between the two directions
+    share a p-dependent offset."""
     worst_anchor = 0.0
     for p in (0.0, 0.5):
         state = initial_state(p)
@@ -246,8 +252,8 @@ def _closed_anchor_relation() -> CheckResult:
         d_ba = steering_closed(state, Direction.B_TO_A) + steering_sum_oracle(state, Direction.B_TO_A) - 4.0
         offset = max(offset, abs(d_ab), abs(d_ba))
     detail = (
-        f"exact at p in {{0, 0.5}}; known shared closed-form offset up to {offset:.3f} "
-        "at intermediate p (both directions deviate identically)"
+        f"exact at p in {{0, 0.5}}; known closed-form offset up to {offset:.3f} at intermediate p, "
+        "shared by both directions on the inertial line"
     )
     return CheckResult("closed_form_anchor_relation", worst_anchor < 1e-9, worst_anchor, detail)
 

@@ -64,7 +64,7 @@ class TestSweepCommand:
         assert "steps must be in" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(sweep.ConfigError):
-            cli._parse_r_grid(f"0:0.7:{cli.R_STEPS_MAX + 1}")
+            cli._parse_r_grid(f"0:0.7:{sweep.GRID_POINTS_MAX + 1}")
 
     def test_r_steps_at_the_cap_build_the_grid(self, monkeypatch):
         calls = []
@@ -74,8 +74,23 @@ class TestSweepCommand:
             return [start, end]
 
         monkeypatch.setattr(cli.np, "linspace", small_grid)
-        assert cli._parse_r_grid(f"0:0.7:{cli.R_STEPS_MAX}") == (0.0, 0.7)
-        assert calls == [cli.R_STEPS_MAX]
+        assert cli._parse_r_grid(f"0:0.7:{sweep.GRID_POINTS_MAX}") == (0.0, 0.7)
+        assert calls == [sweep.GRID_POINTS_MAX]
+
+    def test_grid_above_the_cap_is_config_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def no_evaluation(task):
+            raise AssertionError("grid point evaluated")
+
+        monkeypatch.setattr(sweep, "_evaluate_point", no_evaluation)
+        out = tmp_path / "x.csv"
+        code = main(
+            ["sweep", "--scenario", "qubit", "--p", "0.1,0.2", "--r", "0:0.7:50001",
+             "--quantities", "d_total", "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_fifo_out_is_config_error(self, tmp_path, capsys):
         fifo = tmp_path / "pipe.csv"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unruh_steering.linalg import kron, psd_sqrt
+from unruh_steering.linalg import psd_sqrt
 from unruh_steering.measures import (
     Convention,
     Direction,
@@ -13,6 +13,7 @@ from unruh_steering.measures import (
     LquReport,
     Observable,
     STEERING_BOUNDS,
+    _entropy_bits,
     conditional_entropy,
     decoherence_triple,
     joint_distribution,
@@ -26,7 +27,6 @@ from unruh_steering.measures import (
     steering_sum_oracle,
 )
 from unruh_steering.model import (
-    BASIS_6,
     ModelParams,
     PAIR,
     R_MAX,
@@ -36,12 +36,19 @@ from unruh_steering.model import (
     _SLOT_OF_NATURAL,
     accelerate_closed,
     initial_state,
-    pad_to_accelerated,
 )
 
 
 def maximally_mixed_6():
-    return RegionIState(np.eye(6) / 6, BASIS_6)
+    """Maximally mixed over the six inertial levels, pair levels empty."""
+    return RegionIState(np.diag([1.0] * 6 + [0.0] * 2) / 6)
+
+
+def scenario_state(scenario, p, r, phi=0.0):
+    """The closed-route state of one point; the inertial state for ``none``."""
+    if scenario is Scenario.NONE:
+        return initial_state(p)
+    return accelerate_closed(ModelParams.for_scenario(scenario, p, r, phi))
 
 
 def grid_states():
@@ -111,8 +118,9 @@ class TestLqu:
         assert lqu(initial_state(0.0)).value == pytest.approx(1.0, abs=1e-10)
 
     def test_product_state_with_pure_qubit(self):
-        rho = kron(np.diag([1.0, 0.0]), np.diag([0.5, 0.3, 0.2]))
-        assert lqu(RegionIState(rho, BASIS_6)).value == pytest.approx(0.0, abs=1e-10)
+        # |0><0| x diag(0.5, 0.3, 0.2, 0) in the labeled order
+        rho = np.diag([0.5, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0])
+        assert lqu(RegionIState(rho)).value == pytest.approx(0.0, abs=1e-10)
 
     def test_xi_symmetric_and_value_in_range(self):
         for state in grid_states():
@@ -128,11 +136,11 @@ class TestLqu:
         h = (h + h.conj().T) / 2
         w, v = np.linalg.eigh(h)
         u = v @ np.diag(np.exp(1j * w)) @ v.conj().T
-        rotated = kron(np.eye(2), u) @ state.tensor_matrix() @ kron(np.eye(2), u).conj().T
+        rotated = np.kron(np.eye(2), u) @ state.tensor_matrix() @ np.kron(np.eye(2), u).conj().T
         base = lqu(state).value
         # rotate in the natural order, then undo the label permutation for construction
         idx = np.asarray(_NATURAL_OF_SLOT)
-        rotated_state = RegionIState(rotated[np.ix_(idx, idx)], state.basis)
+        rotated_state = RegionIState(rotated[np.ix_(idx, idx)])
         assert lqu(rotated_state).value == pytest.approx(base, abs=1e-10)
 
 
@@ -179,7 +187,7 @@ class TestJointDistribution:
     def test_hand_computed_sz_table(self):
         state = initial_state(0.0)
         obs_a = standard_observables("qubit")[2]
-        obs_b = standard_observables("qutrit")[2]
+        obs_b = standard_observables("extended_qutrit")[2]
         joint = joint_distribution(state, obs_a, obs_b)
         expected = np.array([[0.0, 0.5, 0.0], [0.25, 0.0, 0.25]])
         assert np.abs(joint.probs - expected).max() < 1e-14
@@ -187,11 +195,12 @@ class TestJointDistribution:
     def test_maximally_mixed_weights_by_rank(self):
         state = maximally_mixed_6()
         for obs_a in standard_observables("qubit"):
-            for obs_b in standard_observables("qutrit"):
+            for obs_b in standard_observables("extended_qutrit"):
                 joint = joint_distribution(state, obs_a, obs_b)
+                # the pair level is empty, so only the qutrit block of P_b carries weight
                 expected = np.array(
                     [
-                        [np.trace(pa).real * np.trace(pb).real / 6 for pb in obs_b.projectors]
+                        [np.trace(pa).real * np.trace(pb[:3, :3]).real / 6 for pb in obs_b.projectors]
                         for pa in obs_a.projectors
                     ]
                 )
@@ -199,20 +208,19 @@ class TestJointDistribution:
 
     def test_normalization_and_marginal_consistency(self):
         for state in grid_states():
-            space = "extended_qutrit" if state.is_accelerated else "qutrit"
-            for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables(space)):
+            for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables("extended_qutrit")):
                 joint = joint_distribution(state, obs_a, obs_b)
                 assert joint.probs.sum() == pytest.approx(1.0, abs=1e-12)
                 rho = state.tensor_matrix()
                 eye_b = np.eye(obs_b.dim)
                 for i, pa in enumerate(obs_a.projectors):
-                    independent = np.trace(rho @ kron(pa, eye_b)).real
-                    assert joint.marginal_a()[i] == pytest.approx(independent, abs=1e-12)
+                    independent = np.trace(rho @ np.kron(pa, eye_b)).real
+                    assert joint.probs.sum(axis=1)[i] == pytest.approx(independent, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         state = initial_state(0.2)
         obs_a = standard_observables("qubit")[0]
-        obs_b = standard_observables("extended_qutrit")[0]
+        obs_b = standard_observables("qutrit")[0]  # 3-dim, the state's qutrit factor has 4
         with pytest.raises(ValueError, match="do not match"):
             joint_distribution(state, obs_a, obs_b)
 
@@ -227,7 +235,7 @@ class TestConditionalEntropy:
     def test_hand_derived_half_bit(self):
         state = initial_state(0.0)
         joint = joint_distribution(
-            state, standard_observables("qubit")[2], standard_observables("qutrit")[2]
+            state, standard_observables("qubit")[2], standard_observables("extended_qutrit")[2]
         )
         assert conditional_entropy(joint) == pytest.approx(0.5, abs=1e-12)
 
@@ -251,25 +259,20 @@ class TestSteeringSums:
         state = maximally_mixed_6()
         total = steering_sum_oracle(state, Direction.A_TO_B)
         marginal_sum = 0.0
-        for obs_b in standard_observables("qutrit"):
+        for obs_b in standard_observables("extended_qutrit"):
             joint = joint_distribution(state, standard_observables("qubit")[0], obs_b)
-            from unruh_steering.measures import _entropy_bits
-
-            marginal_sum += _entropy_bits(joint.marginal_b())
+            marginal_sum += _entropy_bits(joint.probs.sum(axis=0))
         assert total == pytest.approx(marginal_sum, abs=1e-12)
         assert total == pytest.approx(3 * math.log2(3), abs=1e-12)
 
     def test_directions_differ_by_marginal_entropies(self):
         # H(B|A) - H(A|B) = H(B) - H(A) for each of the three settings
-        from unruh_steering.measures import _entropy_bits
-
         accelerated = accelerate_closed(ModelParams.for_scenario(Scenario.BOTH, 0.2, 0.5))
         for state in (initial_state(0.2), accelerated):
-            space = "extended_qutrit" if state.is_accelerated else "qutrit"
             marginal_gap = 0.0
-            for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables(space)):
+            for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables("extended_qutrit")):
                 joint = joint_distribution(state, obs_a, obs_b)
-                marginal_gap += _entropy_bits(joint.marginal_b()) - _entropy_bits(joint.marginal_a())
+                marginal_gap += _entropy_bits(joint.probs.sum(axis=0)) - _entropy_bits(joint.probs.sum(axis=1))
             forward = steering_sum_oracle(state, Direction.A_TO_B)
             backward = steering_sum_oracle(state, Direction.B_TO_A)
             assert forward - backward == pytest.approx(marginal_gap, abs=1e-12)
@@ -284,14 +287,13 @@ class TestSteeringSums:
             for direction in Direction:
                 assert steering_sum_oracle(state, direction) >= -1e-12
 
-    def test_padding_invariance_at_r_zero(self):
-        for p in (0.0, 0.2, 0.5):
-            state = initial_state(p)
-            padded = pad_to_accelerated(state)
-            for direction in Direction:
-                assert steering_sum_oracle(state, direction) == pytest.approx(
-                    steering_sum_oracle(padded, direction), abs=1e-12
-                )
+    def test_inertial_state_is_the_r_zero_limit(self):
+        for scenario in (Scenario.QUBIT, Scenario.QUTRIT, Scenario.BOTH):
+            for p in (0.0, 0.2, 0.5):
+                inertial = initial_state(p)
+                at_rest = scenario_state(scenario, p, 0.0)
+                for direction in Direction:
+                    assert steering_sum_oracle(inertial, direction) == steering_sum_oracle(at_rest, direction)
 
 
 class TestSteeringClosed:
@@ -314,9 +316,7 @@ class TestSteeringClosed:
     def test_zero_coherence_merges_c_terms(self):
         # diagonal state: c+ = c- = 1 - b, their halves merge into one term
         diag = np.diag([0.2, 0.1, 0.2, 0.2, 0.1, 0.2, 0.0, 0.0]).astype(complex)
-        from unruh_steering.model import BASIS_8
-
-        state = RegionIState(diag, BASIS_8)
+        state = RegionIState(diag)
         value = steering_closed(state, Direction.A_TO_B)
 
         def xlog(x, scale=1.0):
@@ -330,20 +330,17 @@ class TestSteeringClosed:
         assert value == pytest.approx(merged, abs=1e-12)
 
     def test_all_diagonal_mixed_state_is_finite(self):
-        from unruh_steering.model import BASIS_8
-
-        state = RegionIState(np.eye(8).astype(complex) / 8, BASIS_8)
+        state = RegionIState(np.eye(8).astype(complex) / 8)
         for direction in Direction:
             assert math.isfinite(steering_closed(state, direction))
 
-    def test_padded_state_matches_inertial_evaluation(self):
-        for p in (0.0, 0.15, 0.5):
-            state = initial_state(p)
-            padded = pad_to_accelerated(state)
-            for direction in Direction:
-                assert steering_closed(state, direction) == pytest.approx(
-                    steering_closed(padded, direction), abs=1e-14
-                )
+    def test_inertial_state_is_the_r_zero_limit(self):
+        for scenario in (Scenario.QUBIT, Scenario.QUTRIT, Scenario.BOTH):
+            for p in (0.0, 0.15, 0.5):
+                inertial = initial_state(p)
+                at_rest = scenario_state(scenario, p, 0.0)
+                for direction in Direction:
+                    assert steering_closed(inertial, direction) == steering_closed(at_rest, direction)
 
 
 class TestSteerability:
@@ -408,8 +405,6 @@ class TestSteeringReport:
 
 
 def _reordered(state):
-    if state.dim == 6:
-        return np.array(state.matrix)
     idx = np.asarray(_SLOT_OF_NATURAL)
     return state.matrix[np.ix_(idx, idx)]
 
@@ -424,9 +419,8 @@ def _joint_reference(state, obs_a, obs_b):
 
 
 def _lqu_reference(state):
-    n = state.factor_dims[1]
     root = psd_sqrt(_reordered(state))
-    eye_n = np.eye(n, dtype=complex)
+    eye_n = np.eye(4, dtype=complex)
     paulis = (
         np.array([[0, 1], [1, 0]], dtype=complex),
         np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -450,12 +444,10 @@ def _qubit_rotated(state, theta, alpha, beta):
     u = np.array(
         [[c, -np.exp(1j * beta) * s], [np.exp(1j * alpha) * s, np.exp(1j * (alpha + beta)) * c]]
     )
-    local = np.kron(u, np.eye(state.factor_dims[1]))
+    local = np.kron(u, np.eye(4))
     rotated = local @ state.tensor_matrix() @ local.conj().T
-    if state.dim == 6:
-        return RegionIState(rotated, state.basis)
     idx = np.asarray(_NATURAL_OF_SLOT)
-    return RegionIState(rotated[np.ix_(idx, idx)], state.basis)
+    return RegionIState(rotated[np.ix_(idx, idx)])
 
 
 class TestKernelBitIdentity:
@@ -470,14 +462,10 @@ class TestKernelBitIdentity:
         rotation=st.none() | st.tuples(angles, angles, angles),
     )
     def test_joint_tables_and_lqu_equal_the_kron_loops(self, scenario, p, r, phi, rotation):
-        if scenario is Scenario.NONE:
-            state = initial_state(p)
-        else:
-            state = accelerate_closed(ModelParams.for_scenario(scenario, p, r, phi))
+        state = scenario_state(scenario, p, r, phi)
         if rotation is not None:
             state = _qubit_rotated(state, *rotation)
-        space = "extended_qutrit" if state.is_accelerated else "qutrit"
-        for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables(space)):
+        for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables("extended_qutrit")):
             got = joint_distribution(state, obs_a, obs_b)
             assert np.array_equal(got.probs, _joint_reference(state, obs_a, obs_b).probs)
         got, expected = lqu(state), _lqu_reference(state)

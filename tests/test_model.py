@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from unruh_steering.model import (
-    BASIS_6,
-    BASIS_8,
     ModelParams,
     PAIR,
     R_MAX,
@@ -15,7 +13,6 @@ from unruh_steering.model import (
     accelerate_oracle,
     as_printed_both_matrix,
     initial_state,
-    pad_to_accelerated,
     reduce_qubit,
     reduce_qutrit,
 )
@@ -69,7 +66,7 @@ class TestModelParams:
 class TestInitialState:
     def test_p_zero_is_the_bell_like_pure_state(self):
         state = initial_state(0.0)
-        psi = np.zeros(6, dtype=complex)
+        psi = np.zeros(8, dtype=complex)
         psi[2] = psi[3] = 1 / np.sqrt(2)  # (|02> + |10>)/sqrt(2)
         assert np.abs(state.matrix - np.outer(psi, psi.conj())).max() < 1e-15
         purity = np.trace(state.matrix @ state.matrix).real
@@ -77,13 +74,13 @@ class TestInitialState:
 
     def test_p_half_structure(self):
         m = initial_state(0.5).matrix
-        assert np.allclose(m.diagonal(), [0.25, 0.25, 0, 0, 0.25, 0.25])
+        assert np.allclose(m.diagonal(), [0.25, 0.25, 0, 0, 0.25, 0.25, 0, 0])
         assert m[0, 5] == pytest.approx(0.25)
         assert m[2, 3] == pytest.approx(0.0)
 
     def test_p_tenth_explicit_entries(self):
         m = initial_state(0.1).matrix
-        assert np.allclose(m.diagonal().real, [0.05, 0.05, 0.4, 0.4, 0.05, 0.05])
+        assert np.allclose(m.diagonal().real, [0.05, 0.05, 0.4, 0.4, 0.05, 0.05, 0, 0])
         assert m[0, 5] == pytest.approx(0.05)
         assert m[2, 3] == pytest.approx(0.4)
         nonzero = np.count_nonzero(np.abs(m) > 1e-15)
@@ -137,33 +134,30 @@ class TestRegionIState:
         with pytest.raises(ValueError):
             nat[0, 0] = 1.0
 
-    def test_padding_keeps_elements(self):
-        state = initial_state(0.3)
-        padded = pad_to_accelerated(state)
-        assert padded.dim == 8
-        assert padded.basis == BASIS_8
-        assert np.allclose(padded.matrix[:6, :6], state.matrix)
-        assert np.abs(padded.matrix[6:, :]).max() == 0.0
-        assert pad_to_accelerated(padded) is padded
+    def test_inertial_state_has_empty_pair_levels(self):
+        m = initial_state(0.3).matrix
+        assert m.shape == (8, 8)
+        assert np.abs(m[6:, :]).max() == 0.0
+        assert np.abs(m[:, 6:]).max() == 0.0
 
     def test_rejects_unnormalized_matrix(self):
         with pytest.raises(ValueError, match="trace"):
-            RegionIState(np.eye(6), BASIS_6)
+            RegionIState(np.eye(8))
 
     def test_rejects_non_hermitian(self):
-        m = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)
+        m = np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex)
         m[0, 1] = 0.1
         with pytest.raises(ValueError, match="Hermitian"):
-            RegionIState(m, BASIS_6)
+            RegionIState(m)
 
     def test_rejects_negative_state(self):
-        m = np.diag([1.5, -0.5, 0, 0, 0, 0]).astype(complex)
+        m = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            RegionIState(m, BASIS_6)
+            RegionIState(m)
 
     def test_rejects_mismatched_basis(self):
         with pytest.raises(ValueError, match="basis"):
-            RegionIState(np.eye(6) / 6, BASIS_8)
+            RegionIState(np.eye(6) / 6)
 
 
 class TestAccelerateClosed:
@@ -176,7 +170,7 @@ class TestAccelerateClosed:
     def test_r_zero_embeds_initial_state(self, scenario):
         for p in GRID_P:
             state = accelerate_closed(params_for(scenario, p, 0.0))
-            expected = pad_to_accelerated(initial_state(p)).matrix
+            expected = initial_state(p).matrix
             assert np.abs(state.matrix - expected).max() < 1e-14
 
     def test_qutrit_only_pair_population(self):
@@ -198,7 +192,7 @@ class TestAccelerateOracle:
     def test_r_zero_is_identity_channel(self, scenario):
         for p in GRID_P:
             state = accelerate_oracle(params_for(scenario, p, 0.0, phi=1.3))
-            expected = pad_to_accelerated(initial_state(p)).matrix
+            expected = initial_state(p).matrix
             assert np.abs(state.matrix - expected).max() < 1e-14
 
     @pytest.mark.parametrize("scenario", [Scenario.QUTRIT, Scenario.BOTH])
@@ -266,9 +260,9 @@ class TestReductions:
 
     def test_initial_qutrit_marginal(self):
         p = 0.2
-        expected = np.diag([(1 - p) / 2, p, (1 - p) / 2])
+        expected = np.diag([(1 - p) / 2, p, (1 - p) / 2, 0.0])
         assert np.allclose(reduce_qutrit(initial_state(p)), expected, atol=1e-14)
-        assert np.allclose(reduce_qutrit(initial_state(0.0)), np.diag([0.5, 0.0, 0.5]), atol=1e-14)
+        assert np.allclose(reduce_qutrit(initial_state(0.0)), np.diag([0.5, 0.0, 0.5, 0.0]), atol=1e-14)
 
     def test_accelerated_qubit_marginal(self):
         state = accelerate_closed(ModelParams(p=0.0, r_q=R_MAX, scenario=Scenario.QUBIT))

@@ -57,6 +57,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="not finite"):
             config.validate()
 
+    def test_grid_above_the_cap_is_rejected_before_computation(self, monkeypatch):
+        def no_evaluation(task):
+            raise AssertionError("grid point evaluated")
+
+        monkeypatch.setattr(sweep, "_evaluate_point", no_evaluation)
+        r_values = tuple(np.linspace(0.0, R_MAX, sweep.GRID_POINTS_MAX // 2 + 1))
+        config = SweepConfig(Scenario.QUBIT, p_values=(0.1, 0.2), r_values=r_values, quantities=("d_total",))
+        with pytest.raises(ConfigError, match="exceeds the cap"):
+            run_sweep(config)
+
+    def test_grid_at_the_cap_is_accepted(self):
+        r_values = tuple(np.linspace(0.0, R_MAX, sweep.GRID_POINTS_MAX // 2))
+        SweepConfig(Scenario.QUBIT, p_values=(0.1, 0.2), r_values=r_values, quantities=("d_total",)).validate()
+
     def test_validation_happens_before_computation(self):
         config = SweepConfig(Scenario.NONE, p_values=(0.9,), quantities=("d_total",))
         with pytest.raises(ConfigError):
@@ -160,6 +174,17 @@ class TestFormatValue:
         ],
     )
     def test_rounding_up_to_a_power_of_ten_keeps_twelve_digits(self, value, text):
+        assert format_value(value) == text
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (123456789012.4, "123456789012"),
+            (1000000000001.0, "1000000000000"),
+            (-1.2345678901234567e20, "-123456789012000000000"),
+        ],
+    )
+    def test_integer_digits_past_the_twelfth_are_zeros(self, value, text):
         assert format_value(value) == text
 
 
