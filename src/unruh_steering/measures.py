@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -405,31 +405,53 @@ def steering_degrees(
     return degree_ab, degree_ba
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteeringReport:
-    """All steering quantities of one state under one convention."""
+    """All steering quantities of one state under one convention.
 
-    s_ab_oracle: float
-    s_ba_oracle: float
-    i_ab_closed: float
-    i_ba_closed: float
-    steer_ab: float
-    steer_ba: float
+    Each value is computed on first read and at most once, so a report
+    costs only what is read from it: the ``as-printed`` degrees read the
+    closed forms and build no joint tables.  Reports compare by identity.
+    """
+
+    state: RegionIState
     convention: Convention
+
+    @cached_property
+    def s_ab_oracle(self) -> float:
+        return steering_sum_oracle(self.state, Direction.A_TO_B)
+
+    @cached_property
+    def s_ba_oracle(self) -> float:
+        return steering_sum_oracle(self.state, Direction.B_TO_A)
+
+    @cached_property
+    def i_ab_closed(self) -> float:
+        return steering_closed(self.state, Direction.A_TO_B)
+
+    @cached_property
+    def i_ba_closed(self) -> float:
+        return steering_closed(self.state, Direction.B_TO_A)
+
+    @cached_property
+    def degrees(self) -> tuple[float, float]:
+        """``(steer_ab, steer_ba)`` from the two values that feed the
+        convention, as :func:`steering_degrees` assigns them; the closed
+        forms stay unswapped in ``i_ab_closed``/``i_ba_closed``."""
+        if self.convention is Convention.AS_PRINTED:
+            return steering_degrees(self.i_ab_closed, self.i_ba_closed, self.convention)
+        return steering_degrees(self.s_ab_oracle, self.s_ba_oracle, self.convention)
+
+    @property
+    def steer_ab(self) -> float:
+        return self.degrees[0]
+
+    @property
+    def steer_ba(self) -> float:
+        return self.degrees[1]
 
 
 def steering_report(state: RegionIState, convention: Convention = Convention.AS_PRINTED) -> SteeringReport:
-    """Evaluate both steering routes and the steerability degrees.
-
-    The degrees follow :func:`steering_degrees`; the raw closed-form
-    values are reported unswapped as ``i_ab_closed``/``i_ba_closed``.
-    """
-    s_ab = steering_sum_oracle(state, Direction.A_TO_B)
-    s_ba = steering_sum_oracle(state, Direction.B_TO_A)
-    i_ab = steering_closed(state, Direction.A_TO_B)
-    i_ba = steering_closed(state, Direction.B_TO_A)
-    if convention is Convention.AS_PRINTED:
-        steer_ab, steer_ba = steering_degrees(i_ab, i_ba, convention)
-    else:
-        steer_ab, steer_ba = steering_degrees(s_ab, s_ba, convention)
-    return SteeringReport(s_ab, s_ba, i_ab, i_ba, steer_ab, steer_ba, convention)
+    """The steering quantities of ``state`` under ``convention``, each
+    computed when it is first read."""
+    return SteeringReport(state, convention)

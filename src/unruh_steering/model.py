@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -161,6 +161,11 @@ def initial_state(p: float) -> RegionIState:
     """
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"mixing parameter p={p} outside [0, 0.5]")
+    return RegionIState(_inertial_matrix(p))
+
+
+def _inertial_matrix(p: float) -> np.ndarray:
+    """The labeled-order matrix of :func:`initial_state`, unvalidated."""
     half_p = p / 2.0
     half_rest = (1.0 - 2.0 * p) / 2.0
     m = np.zeros((8, 8), dtype=complex)
@@ -169,7 +174,7 @@ def initial_state(p: float) -> RegionIState:
     m[2, 2] = m[3, 3] = half_rest
     m[0, 5] = m[5, 0] = half_p
     m[2, 3] = m[3, 2] = half_rest
-    return RegionIState(m)
+    return m
 
 
 def _labeled_matrix(diag, upper) -> np.ndarray:
@@ -251,9 +256,10 @@ def _compose_qubit_channel(diag, upper, r: float, as_printed: bool):
 
 
 def accelerate_closed(params: ModelParams) -> RegionIState:
-    """Region-I state from the closed-form channel element tables."""
+    """Region-I state from the closed-form channel element tables; scenario
+    ``none`` is the identity channel and gives the inertial state."""
     if params.scenario is Scenario.NONE:
-        raise ValueError("scenario 'none' has no acceleration channel; use initial_state")
+        return initial_state(params.p)
     if params.scenario is Scenario.QUBIT:
         diag, upper = _qubit_accelerated_elements(params.p, params.r_q)
     elif params.scenario is Scenario.QUTRIT:
@@ -278,7 +284,6 @@ def as_printed_both_matrix(params: ModelParams) -> np.ndarray:
     return _labeled_matrix(diag, upper)
 
 
-@lru_cache(maxsize=None)
 def _qubit_substitution(r: float) -> np.ndarray:
     """Isometry C^2 -> C^2 (x) C^2 mapping the inertial qubit basis into
     (region I, region II) Rindler modes."""
@@ -287,11 +292,9 @@ def _qubit_substitution(r: float) -> np.ndarray:
     v[0, 0] = c   # |0> -> cos r |0_I 0_II>
     v[3, 0] = s   #        + sin r |1_I 1_II>
     v[2, 1] = 1.0  # |1> -> |1_I 0_II>
-    v.setflags(write=False)
     return v
 
 
-@lru_cache(maxsize=None)
 def _qutrit_substitution(r: float, phi: float) -> np.ndarray:
     """Isometry C^3 -> C^4 (x) C^4 for the accelerated qutrit basis,
     including the pair level and the free phase ``phi``."""
@@ -306,7 +309,6 @@ def _qutrit_substitution(r: float, phi: float) -> np.ndarray:
     v[PAIR * 4 + 1, 1] = ph * s    # + e^{i phi} sin r |pair_I 1_II>
     v[2 * 4 + 0, 2] = c        # |2> -> cos r |2_I 0_II>
     v[PAIR * 4 + 2, 2] = -ph * s   # - e^{i phi} sin r |pair_I 2_II>
-    v.setflags(write=False)
     return v
 
 
@@ -318,10 +320,9 @@ def accelerate_oracle(params: ModelParams) -> RegionIState:
     qubit_II, qutrit_II) with singleton region-II factors for inertial
     subsystems (an inertial qutrit is embedded with an empty pair level),
     traces out the trailing region-II factors, and reorders the result
-    into the labeled 8-dim basis.
+    into the labeled 8-dim basis.  Scenario ``none`` substitutes nothing
+    and gives the inertial state.
     """
-    if params.scenario is Scenario.NONE:
-        raise ValueError("scenario 'none' has no acceleration channel; use initial_state")
     qubit_on = params.scenario in (Scenario.QUBIT, Scenario.BOTH)
     qutrit_on = params.scenario in (Scenario.QUTRIT, Scenario.BOTH)
 
@@ -334,7 +335,7 @@ def accelerate_oracle(params: ModelParams) -> RegionIState:
     iso = np.kron(v_q, v_t)
     iso = iso.reshape(dq1, dq2, dt1, dt2, 6).transpose(0, 2, 1, 3, 4).reshape(-1, 6)
 
-    rho6 = initial_state(params.p).matrix[:6, :6]
+    rho6 = _inertial_matrix(params.p)[:6, :6]
     big = iso @ rho6 @ iso.conj().T
     region1 = partial_trace(big, (dq1, dt1, dq2, dt2), keep=(0, 1))
     idx = np.asarray(_NATURAL_OF_SLOT)

@@ -21,14 +21,12 @@ import numpy as np
 from .measures import (
     Convention,
     DecoherenceReport,
-    Direction,
+    SteeringReport,
     decoherence_triple,
     lqu,
-    steering_closed,
-    steering_degrees,
-    steering_sum_oracle,
+    steering_report,
 )
-from .model import ModelParams, R_MAX, RegionIState, Scenario, accelerate_closed, initial_state
+from .model import ModelParams, R_MAX, RegionIState, Scenario, accelerate_closed
 
 
 class _Point:
@@ -44,26 +42,8 @@ class _Point:
         return decoherence_triple(self.state)
 
     @cached_property
-    def i_ab(self) -> float:
-        return steering_closed(self.state, Direction.A_TO_B)
-
-    @cached_property
-    def i_ba(self) -> float:
-        return steering_closed(self.state, Direction.B_TO_A)
-
-    @cached_property
-    def s_ab(self) -> float:
-        return steering_sum_oracle(self.state, Direction.A_TO_B)
-
-    @cached_property
-    def s_ba(self) -> float:
-        return steering_sum_oracle(self.state, Direction.B_TO_A)
-
-    @cached_property
-    def degrees(self) -> tuple[float, float]:
-        if self.convention is Convention.AS_PRINTED:
-            return steering_degrees(self.i_ab, self.i_ba, self.convention)
-        return steering_degrees(self.s_ab, self.s_ba, self.convention)
+    def steering(self) -> SteeringReport:
+        return steering_report(self.state, self.convention)
 
 
 # Every quantity a sweep can request, with the function that reads it from a point.
@@ -72,13 +52,13 @@ _QUANTITY_TABLE = {
     "d_qubit": lambda point: point.decoherence.d_qubit,
     "d_qutrit": lambda point: point.decoherence.d_qutrit,
     "lqu": lambda point: lqu(point.state).value,
-    "s_ab_oracle": lambda point: point.s_ab,
-    "s_ba_oracle": lambda point: point.s_ba,
-    "i_ab_closed": lambda point: point.i_ab,
-    "i_ba_closed": lambda point: point.i_ba,
-    "steer_ab": lambda point: point.degrees[0],
-    "steer_ba": lambda point: point.degrees[1],
-    "steer_diff": lambda point: abs(point.degrees[0] - point.degrees[1]),
+    "s_ab_oracle": lambda point: point.steering.s_ab_oracle,
+    "s_ba_oracle": lambda point: point.steering.s_ba_oracle,
+    "i_ab_closed": lambda point: point.steering.i_ab_closed,
+    "i_ba_closed": lambda point: point.steering.i_ba_closed,
+    "steer_ab": lambda point: point.steering.steer_ab,
+    "steer_ba": lambda point: point.steering.steer_ba,
+    "steer_diff": lambda point: abs(point.steering.steer_ab - point.steering.steer_ba),
 }
 
 QUANTITIES = tuple(_QUANTITY_TABLE)
@@ -161,11 +141,7 @@ class SweepConfig:
 def _evaluate_point(task) -> list[SweepRecord]:
     scenario_value, p, r, phi, quantities, convention_value = task
     params = ModelParams.for_scenario(Scenario(scenario_value), p, r, phi)
-    if params.scenario is Scenario.NONE:
-        state = initial_state(p)
-    else:
-        state = accelerate_closed(params)
-    point = _Point(state, Convention(convention_value))
+    point = _Point(accelerate_closed(params), Convention(convention_value))
     return [
         SweepRecord(scenario_value, p, params.r_q, params.r_t, phi, name, _QUANTITY_TABLE[name](point))
         for name in quantities

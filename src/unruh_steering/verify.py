@@ -16,16 +16,12 @@ import numpy as np
 
 from .measures import (
     Convention,
-    Direction,
     decoherence_triple,
     joint_distribution,
     linear_entropy,
     lqu,
     standard_observables,
-    steering_closed,
-    steering_degrees,
     steering_report,
-    steering_sum_oracle,
 )
 from .model import (
     FACTOR_DIMS,
@@ -239,17 +235,17 @@ def _closed_anchor_relation() -> CheckResult:
     share a p-dependent offset."""
     worst_anchor = 0.0
     for p in (0.0, 0.5):
-        state = initial_state(p)
+        report = steering_report(initial_state(p))
         worst_anchor = max(
             worst_anchor,
-            abs(steering_closed(state, Direction.A_TO_B) + steering_sum_oracle(state, Direction.A_TO_B) - 6.0),
-            abs(steering_closed(state, Direction.B_TO_A) + steering_sum_oracle(state, Direction.B_TO_A) - 4.0),
+            abs(report.i_ab_closed + report.s_ab_oracle - 6.0),
+            abs(report.i_ba_closed + report.s_ba_oracle - 4.0),
         )
     offset = 0.0
     for p in np.linspace(0.0, 0.5, 11):
-        state = initial_state(float(p))
-        d_ab = steering_closed(state, Direction.A_TO_B) + steering_sum_oracle(state, Direction.A_TO_B) - 6.0
-        d_ba = steering_closed(state, Direction.B_TO_A) + steering_sum_oracle(state, Direction.B_TO_A) - 4.0
+        report = steering_report(initial_state(float(p)))
+        d_ab = report.i_ab_closed + report.s_ab_oracle - 6.0
+        d_ba = report.i_ba_closed + report.s_ba_oracle - 4.0
         offset = max(offset, abs(d_ab), abs(d_ba))
     detail = (
         f"exact at p in {{0, 0.5}}; known closed-form offset up to {offset:.3f} at intermediate p, "
@@ -268,16 +264,8 @@ def _trend_degrees(scenario: Scenario, p: float, r_values) -> dict[str, list[tup
     }
     for r in r_values:
         state = accelerate_closed(ModelParams.for_scenario(scenario, p, r))
-        printed = steering_degrees(
-            steering_closed(state, Direction.A_TO_B),
-            steering_closed(state, Direction.B_TO_A),
-            Convention.AS_PRINTED,
-        )
-        deficit = steering_degrees(
-            steering_sum_oracle(state, Direction.A_TO_B),
-            steering_sum_oracle(state, Direction.B_TO_A),
-            Convention.DEFICIT_NORMALIZED,
-        )
+        printed = steering_report(state, Convention.AS_PRINTED).degrees
+        deficit = steering_report(state, Convention.DEFICIT_NORMALIZED).degrees
         curves["as-printed"].append(printed[::-1])
         curves["as-printed-swapped"].append(printed)
         curves["deficit"].append(deficit)

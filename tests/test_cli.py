@@ -191,6 +191,15 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "none.cfg")]) == 1
 
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        config = tmp_path / "sweep.cfg"
+        config.write_bytes(b"\xff\xfescenario = qubit\n" + f"out = {out}\n".encode())
+        assert main(["sweep", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config file") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestPresetCommand:
     def test_runs_preset(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unruh_steering import measures
 from unruh_steering.linalg import psd_sqrt
 from unruh_steering.measures import (
     Convention,
@@ -46,8 +47,6 @@ def maximally_mixed_6():
 
 def scenario_state(scenario, p, r, phi=0.0):
     """The closed-route state of one point; the inertial state for ``none``."""
-    if scenario is Scenario.NONE:
-        return initial_state(p)
     return accelerate_closed(ModelParams.for_scenario(scenario, p, r, phi))
 
 
@@ -393,6 +392,19 @@ class TestSteeringReport:
         deficit_ab = steerability(1.5, Direction.A_TO_B, Convention.DEFICIT_NORMALIZED)
         deficit_ba = steerability(0.5, Direction.B_TO_A, Convention.DEFICIT_NORMALIZED)
         assert steering_degrees(1.5, 0.5, Convention.DEFICIT_NORMALIZED) == (deficit_ab, deficit_ba)
+
+    def test_as_printed_report_builds_no_joint_tables(self, monkeypatch):
+        def no_joint_tables(*args, **kwargs):
+            raise AssertionError("joint table built for an as-printed value")
+
+        state = accelerate_closed(ModelParams(p=0.05, r_t=0.3, scenario=Scenario.QUTRIT))
+        monkeypatch.setattr(measures, "joint_distribution", no_joint_tables)
+        report = steering_report(state, Convention.AS_PRINTED)
+        assert (report.steer_ab, report.steer_ba) == steering_degrees(
+            report.i_ab_closed, report.i_ba_closed, Convention.AS_PRINTED
+        )
+        assert report.i_ab_closed == steering_closed(state, Direction.A_TO_B)
+        assert report.i_ba_closed == steering_closed(state, Direction.B_TO_A)
 
     def test_pure_state_saturates_as_printed_degrees(self):
         report = steering_report(initial_state(0.0))

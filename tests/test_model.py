@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,14 @@ from unruh_steering.model import (
 GRID_P = (0.0, 0.1, 0.25, 0.4, 0.5)
 GRID_R = tuple(np.linspace(0.0, R_MAX, 9))
 GRID_PHI = (0.0, 0.7, 2.1)
+
+
+def assert_none_gives_initial_state(route):
+    """Scenario ``none`` ignores r_q, r_t and phi and gives the inertial state exactly."""
+    points = ((0.0, 0.0, 0.0, 0.0), (0.1, 0.3, 0.7, 2.1), (0.37, R_MAX, 0.05, -40.0), (0.5, 0.6, R_MAX, 1e6))
+    for p, r_q, r_t, phi in points:
+        state = route(ModelParams(p, r_q, r_t, phi, Scenario.NONE))
+        assert np.array_equal(state.matrix, initial_state(p).matrix)
 
 
 def params_for(scenario, p, r, phi=0.0):
@@ -182,9 +192,8 @@ class TestAccelerateClosed:
         assert np.abs(state.matrix[6:, :]).max() == 0.0
         assert np.abs(state.matrix[:, 6:]).max() == 0.0
 
-    def test_scenario_none_rejected(self):
-        with pytest.raises(ValueError, match="initial_state"):
-            accelerate_closed(ModelParams(p=0.1, scenario=Scenario.NONE))
+    def test_scenario_none_is_the_identity_channel(self):
+        assert_none_gives_initial_state(accelerate_closed)
 
 
 class TestAccelerateOracle:
@@ -221,9 +230,22 @@ class TestAccelerateOracle:
         params = ModelParams(p=0.2, r_q=0.3, r_t=0.7, scenario=Scenario.BOTH)
         assert np.abs(accelerate_closed(params).matrix - accelerate_oracle(params).matrix).max() < 1e-12
 
-    def test_scenario_none_rejected(self):
-        with pytest.raises(ValueError, match="initial_state"):
-            accelerate_oracle(ModelParams(p=0.1, scenario=Scenario.NONE))
+    def test_scenario_none_is_the_identity_channel(self):
+        assert_none_gives_initial_state(accelerate_oracle)
+
+    def test_distinct_phases_hold_no_memory(self):
+        accelerate_oracle(ModelParams(p=0.1, r_q=0.3, r_t=0.4, scenario=Scenario.BOTH))
+        tracemalloc.start()
+        try:
+            gc.collect()  # a full collection also empties the interpreter's free lists
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(2000):
+                accelerate_oracle(ModelParams(p=0.1, r_q=0.3, r_t=0.4, phi=1e-3 * k, scenario=Scenario.BOTH))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 200_000
 
     @pytest.mark.parametrize("scenario", [Scenario.QUBIT, Scenario.QUTRIT, Scenario.BOTH])
     def test_physicality_on_grid(self, scenario):

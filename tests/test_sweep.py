@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from unruh_steering import measures, sweep
 from unruh_steering.measures import Convention, decoherence_triple, lqu, steering_report
-from unruh_steering.model import ModelParams, R_MAX, Scenario, accelerate_closed, initial_state
+from unruh_steering.model import ModelParams, R_MAX, Scenario, accelerate_closed
 from unruh_steering.sweep import (
     CSV_HEADER,
     ConfigError,
@@ -319,8 +320,7 @@ class TestPresets:
 
 def _reference_values(scenario, p, r, phi, convention):
     """Every quantity of one point from the per-point public functions."""
-    params = ModelParams.for_scenario(scenario, p, r, phi)
-    state = initial_state(p) if scenario is Scenario.NONE else accelerate_closed(params)
+    state = accelerate_closed(ModelParams.for_scenario(scenario, p, r, phi))
     triple = decoherence_triple(state)
     report = steering_report(state, convention)
     return {
@@ -361,3 +361,27 @@ class TestQuantityTable:
 
         monkeypatch.setattr(measures, "joint_distribution", no_joint_tables)
         assert len(run_sweep(preset_config(name))) == 101 * len(preset_config(name).quantities)
+
+    @pytest.mark.parametrize("convention", list(Convention))
+    def test_every_steering_value_is_computed_once_per_point(self, convention, monkeypatch):
+        calls = collections.Counter()
+        for name in ("steering_sum_oracle", "steering_closed"):
+            def counted(*args, _name=name, _function=getattr(measures, name)):
+                calls[_name] += 1
+                return _function(*args)
+
+            monkeypatch.setattr(measures, name, counted)
+        point = sweep._Point(accelerate_closed(ModelParams.for_scenario(Scenario.BOTH, 0.1, 0.4)), convention)
+        for _ in range(2):
+            for read in sweep._QUANTITY_TABLE.values():
+                read(point)
+        assert calls == {"steering_sum_oracle": 2, "steering_closed": 2}
+
+    def test_decoherence_and_lqu_build_no_steering_report(self, monkeypatch):
+        def no_report(*args, **kwargs):
+            raise AssertionError("steering report built for a non-steering quantity")
+
+        monkeypatch.setattr(sweep, "steering_report", no_report)
+        quantities = ("d_total", "d_qubit", "d_qutrit", "lqu")
+        config = SweepConfig(Scenario.BOTH, p_values=(0.1,), r_values=(0.0, 0.4), quantities=quantities)
+        assert len(run_sweep(config)) == 2 * len(quantities)
