@@ -2,7 +2,9 @@
 
 All functions operate on plain numpy arrays of complex dtype and are pure
 functions of their inputs, so values can be shared freely across threads
-or worker processes.
+or worker processes.  Each takes one square matrix ``(n, n)`` or a stack
+of them ``(N, n, n)``; a stack is handled as a whole, and every member
+gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -17,17 +19,22 @@ PSD_EIGENVALUE_FLOOR = -1e-10
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex matrix."""
+    """Coerce input to a square complex matrix or a stack of them."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     return a
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
 def hermiticity_defect(m) -> float:
-    """Largest absolute deviation of ``m`` from its conjugate transpose."""
+    """Largest absolute deviation of ``m`` from its conjugate transpose,
+    over the whole stack."""
     a = as_matrix(m)
-    return float(np.abs(a - a.conj().T).max())
+    return float(np.abs(a - _adjoint(a)).max())
 
 
 def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
@@ -42,27 +49,28 @@ def partial_trace(m, dims: Iterable[int], keep: Iterable[int]) -> np.ndarray:
     if any(d <= 0 for d in dims):
         raise ValueError(f"factor dimensions must be positive, got {dims}")
     total = prod(dims)
-    if a.shape != (total, total):
+    if a.shape[-2:] != (total, total):
         raise ValueError(f"shape {a.shape} does not match factors {dims}")
     n = len(dims)
     keep = tuple(sorted(set(int(k) for k in keep)))
     if not keep or len(keep) >= n or keep[0] < 0 or keep[-1] >= n:
         raise ValueError(f"keep={keep} must be a non-empty proper subset of factors 0..{n - 1}")
 
-    t = a.reshape(dims + dims)
+    t = a.reshape(a.shape[:-2] + dims + dims)
     row_axes = list(range(n))
     col_axes = [n + i if i in keep else i for i in range(n)]
     out_axes = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(t, row_axes + col_axes, out_axes)
+    reduced = np.einsum(t, [..., *row_axes, *col_axes], [..., *out_axes])
     d_keep = prod(dims[i] for i in keep)
-    return reduced.reshape(d_keep, d_keep)
+    return reduced.reshape(a.shape[:-2] + (d_keep, d_keep))
 
 
 def psd_sqrt(m) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
     Eigenvalues in ``[PSD_EIGENVALUE_FLOOR, 0)`` are clamped to zero as
-    floating-point noise; anything below the floor raises.
+    floating-point noise; anything below the floor raises.  A stack raises
+    if any member does, with the worst member's figure in the message.
     """
     a = as_matrix(m)
     defect = hermiticity_defect(a)
@@ -71,12 +79,12 @@ def psd_sqrt(m) -> np.ndarray:
     w, v = np.linalg.eigh(a)
     # Descending eigen-order: the summation order of the root, and so its
     # last bits, depend on it.
-    w, v = w[::-1].copy(), v[:, ::-1].copy()
+    w, v = w[..., ::-1].copy(), v[..., ::-1].copy()
     lowest = float(w.min())
     if lowest < PSD_EIGENVALUE_FLOOR:
         raise ValueError(
             f"matrix is not positive semidefinite (eigenvalue {lowest:.3e} "
             f"below {PSD_EIGENVALUE_FLOOR})"
         )
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (root + root.conj().T) / 2
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _adjoint(v)
+    return (root + _adjoint(root)) / 2

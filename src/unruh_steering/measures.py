@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .linalg import psd_sqrt
-from .model import FACTOR_DIMS, PAIR, RegionIState, reduce_qubit, reduce_qutrit
+from .model import BASIS_8, FACTOR_DIMS, PAIR, RegionIState, reduce_qubit, reduce_qutrit, tensor_order
 
 PROB_EPS = 1e-15  # probabilities at or below this are treated as exact zeros
 
@@ -206,31 +206,47 @@ def _xlog2(x: float, scale: float = 1.0) -> float:
     return x * math.log2(scale * x)
 
 
-def linear_entropy(m) -> float:
-    """1 - Tr(m^2) of a density matrix, clamped to [0, 1]."""
+def linear_entropy(m):
+    """1 - Tr(m^2) of a density matrix, clamped to [0, 1]; for an
+    ``(N, d, d)`` stack, the ``(N,)`` array of its members' values."""
     a = np.asarray(m, dtype=complex)
-    trace_defect = abs(a.trace() - 1.0)
+    trace_defect = np.abs(a.trace(axis1=-2, axis2=-1) - 1.0).max()
     if trace_defect > 1e-9:
         raise ValueError(f"trace deviates from 1 by {trace_defect:.3e}")
-    purity = float(np.trace(a @ a).real)
-    return min(1.0, max(0.0, 1.0 - purity))
+    purity = (a @ a).trace(axis1=-2, axis2=-1).real
+    # fmax/fmin pick as Python's max/min do for every value 1 - purity can take
+    value = np.fmin(np.fmax(1.0 - purity, 0.0), 1.0)
+    return value if a.ndim == 3 else float(value)
 
 
 @dataclass(frozen=True)
 class DecoherenceReport:
-    """Linear-entropy decoherence of the total state and both marginals."""
+    """Linear-entropy decoherence of the total state and both marginals;
+    ``(N,)`` arrays for a stack of states."""
 
     d_total: float
     d_qubit: float
     d_qutrit: float
 
 
+def decoherence_stack(matrices: np.ndarray) -> DecoherenceReport:
+    """The decoherence triple of each state of a labeled-order ``(N, 8, 8)``
+    stack of region-I state matrices, one ``(N,)`` array per field."""
+    tensors = tensor_order(matrices)
+    return DecoherenceReport(
+        d_total=linear_entropy(matrices),
+        d_qubit=linear_entropy(reduce_qubit(tensors)),
+        d_qutrit=linear_entropy(reduce_qutrit(tensors)),
+    )
+
+
 def decoherence_triple(state: RegionIState) -> DecoherenceReport:
     """Decoherence of the full state, the qubit marginal and the qutrit marginal."""
+    stacked = decoherence_stack(state.matrix[None])
     return DecoherenceReport(
-        d_total=linear_entropy(state.matrix),
-        d_qubit=linear_entropy(reduce_qubit(state)),
-        d_qutrit=linear_entropy(reduce_qutrit(state)),
+        d_total=float(stacked.d_total[0]),
+        d_qubit=float(stacked.d_qubit[0]),
+        d_qutrit=float(stacked.d_qutrit[0]),
     )
 
 
@@ -244,7 +260,8 @@ _PAULI = (
 @dataclass(frozen=True)
 class LquReport:
     """Local quantum uncertainty: the correlation matrix, its eigenvalues
-    (descending) and the value 1 - max eigenvalue."""
+    (descending) and the value 1 - max eigenvalue.  A stack's report
+    carries a leading stack axis on every field."""
 
     xi: np.ndarray
     gammas: tuple[float, float, float]
@@ -260,28 +277,43 @@ def _local_paulis(n: int) -> np.ndarray:
     return stack
 
 
-def lqu(state: RegionIState) -> LquReport:
-    """Local quantum uncertainty optimized over the qubit spin operators.
+def lqu_stack(matrices: np.ndarray) -> LquReport:
+    """Local quantum uncertainty of each state of a labeled-order
+    ``(N, 8, 8)`` stack of region-I state matrices: ``xi`` is
+    ``(N, 3, 3)``, ``gammas`` ``(N, 3)`` and ``value`` ``(N,)``.
 
     Builds the 3x3 matrix Xi with entries
     Tr[sqrt(rho) (S_i x I) sqrt(rho) (S_j x I)] over the qubit Paulis and
-    returns 1 minus its largest eigenvalue.
+    takes 1 minus its largest eigenvalue.
     """
-    root = psd_sqrt(state.tensor_matrix())
+    root = psd_sqrt(tensor_order(matrices))
     # Batched matmuls and traces give the bits of the per-entry loop; an
     # einsum contraction sums in another order and does not.
-    rotated = root @ _local_paulis(FACTOR_DIMS[1])
-    xi = np.trace(rotated[:, None] @ rotated[None], axis1=2, axis2=3).real
-    asymmetry = float(np.abs(xi - xi.T).max())
+    rotated = root[:, None] @ _local_paulis(FACTOR_DIMS[1])
+    xi = np.trace(rotated[:, :, None] @ rotated[:, None], axis1=3, axis2=4).real
+    xi_t = xi.swapaxes(1, 2)
+    asymmetry = float(np.abs(xi - xi_t).max())
     if asymmetry > 1e-10:
         raise ValueError(f"correlation matrix asymmetry {asymmetry:.3e} exceeds tolerance")
-    xi = (xi + xi.T) / 2
-    gammas = np.linalg.eigvalsh(xi)[::-1]
-    value = float(1.0 - gammas[0])
-    if value < -1e-10:
-        raise ValueError(f"largest eigenvalue {gammas[0]!r} exceeds 1 beyond tolerance")
-    value = max(0.0, value)
-    return LquReport(xi=xi, gammas=tuple(float(g) for g in gammas), value=value)
+    xi = (xi + xi_t) / 2
+    gammas = np.linalg.eigvalsh(xi)[:, ::-1]
+    value = 1.0 - gammas[:, 0]
+    worst = int(value.argmin())
+    if value[worst] < -1e-10:
+        raise ValueError(f"largest eigenvalue {gammas[worst, 0]!r} exceeds 1 beyond tolerance")
+    # fmax picks as Python's max(0, v) does for every value 1 - gamma can take
+    return LquReport(xi=xi, gammas=gammas, value=np.fmax(value, 0.0))
+
+
+def lqu(state: RegionIState) -> LquReport:
+    """Local quantum uncertainty optimized over the qubit spin operators:
+    the one-state case of :func:`lqu_stack`."""
+    stacked = lqu_stack(state.matrix[None])
+    return LquReport(
+        xi=stacked.xi[0],
+        gammas=tuple(float(g) for g in stacked.gammas[0]),
+        value=float(stacked.value[0]),
+    )
 
 
 @lru_cache(maxsize=32)
@@ -318,21 +350,26 @@ def steering_sum_oracle(state: RegionIState, direction: Direction) -> float:
     return total
 
 
+# The labeled elements r11, r22, r33, r44, r55, r66, r16 and r34 of the
+# closed forms, as (rows, cols) slot lists into the labeled matrix.
+_CLOSED_FORM_LABELS = (
+    ((0, 0), (0, 0)), ((0, 1), (0, 1)), ((0, 2), (0, 2)), ((1, 0), (1, 0)),
+    ((1, 1), (1, 1)), ((1, 2), (1, 2)), ((0, 0), (1, 2)), ((0, 2), (1, 0)),
+)
+_CLOSED_FORM_SLOTS = (
+    np.array([BASIS_8.index(row) for row, _ in _CLOSED_FORM_LABELS]),
+    np.array([BASIS_8.index(col) for _, col in _CLOSED_FORM_LABELS]),
+)
+
+
 def steering_closed(state: RegionIState, direction: Direction) -> float:
     """The printed closed-form steering inequality value.
 
-    Consumes the six non-pair populations and the two coherences by basis
-    label.  Both expressions use the 0 log 0 = 0 convention throughout.
+    Consumes the six non-pair populations and the two coherences, read at
+    the slots of their basis labels.  Both expressions use the
+    0 log 0 = 0 convention throughout.
     """
-    e = state.element
-    r11 = e((0, 0), (0, 0)).real
-    r22 = e((0, 1), (0, 1)).real
-    r33 = e((0, 2), (0, 2)).real
-    r44 = e((1, 0), (1, 0)).real
-    r55 = e((1, 1), (1, 1)).real
-    r66 = e((1, 2), (1, 2)).real
-    r16 = e((0, 0), (1, 2)).real
-    r34 = e((0, 2), (1, 0)).real
+    r11, r22, r33, r44, r55, r66, r16, r34 = state.matrix.real[_CLOSED_FORM_SLOTS].tolist()
 
     b = r22 + r55
     coh = 2.0 * (r16 + r34)

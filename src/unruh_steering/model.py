@@ -54,6 +54,7 @@ FACTOR_DIMS = (2, 4)  # (qubit, extended qutrit) factors of the natural Kronecke
 # labeled slot k of the 8-dim basis sits at row q*4 + t of the natural Kronecker order
 _NATURAL_OF_SLOT = tuple(q * 4 + t for q, t in BASIS_8)             # (0,1,2,4,5,6,3,7)
 _SLOT_OF_NATURAL = tuple(int(i) for i in np.argsort(_NATURAL_OF_SLOT))
+_SLOTS_IN_NATURAL_ORDER = np.array(_SLOT_OF_NATURAL)
 
 
 def label_text(label: BasisLabel) -> str:
@@ -145,10 +146,16 @@ class RegionIState:
 
     @cached_property
     def _tensor(self) -> np.ndarray:
-        idx = np.asarray(_SLOT_OF_NATURAL)
-        tensor = self.matrix[np.ix_(idx, idx)]
+        tensor = tensor_order(self.matrix)
         tensor.setflags(write=False)
         return tensor
+
+
+def tensor_order(matrices: np.ndarray) -> np.ndarray:
+    """Labeled-order matrices, one ``(8, 8)`` or a stack ``(N, 8, 8)``,
+    reordered into the natural row-major Kronecker order (2x4)."""
+    rows = np.asarray(matrices).take(_SLOTS_IN_NATURAL_ORDER, axis=-2)
+    return rows.take(_SLOTS_IN_NATURAL_ORDER, axis=-1)
 
 
 def initial_state(p: float) -> RegionIState:
@@ -342,11 +349,17 @@ def accelerate_oracle(params: ModelParams) -> RegionIState:
     return RegionIState(region1[np.ix_(idx, idx)])
 
 
-def reduce_qubit(state: RegionIState) -> np.ndarray:
-    """Qubit marginal (2x2) of a region-I state."""
-    return partial_trace(state.tensor_matrix(), FACTOR_DIMS, keep=(0,))
+def _natural(states) -> np.ndarray:
+    return states.tensor_matrix() if isinstance(states, RegionIState) else states
 
 
-def reduce_qutrit(state: RegionIState) -> np.ndarray:
-    """Extended-qutrit marginal (4x4, pair level last) of a region-I state."""
-    return partial_trace(state.tensor_matrix(), FACTOR_DIMS, keep=(1,))
+def reduce_qubit(states) -> np.ndarray:
+    """Qubit marginal (2x2) of a region-I state; the ``(N, 2, 2)``
+    marginals of an ``(N, 8, 8)`` stack of natural-order state matrices."""
+    return partial_trace(_natural(states), FACTOR_DIMS, keep=(0,))
+
+
+def reduce_qutrit(states) -> np.ndarray:
+    """Extended-qutrit marginal (4x4, pair level last) of a region-I state;
+    the ``(N, 4, 4)`` marginals of an ``(N, 8, 8)`` natural-order stack."""
+    return partial_trace(_natural(states), FACTOR_DIMS, keep=(1,))

@@ -22,43 +22,58 @@ from .measures import (
     Convention,
     DecoherenceReport,
     SteeringReport,
-    decoherence_triple,
-    lqu,
+    decoherence_stack,
+    lqu_stack,
     steering_report,
 )
 from .model import ModelParams, R_MAX, RegionIState, Scenario, accelerate_closed
 
+# Consecutive (p, r) grid points evaluated together, and one pool task.  The
+# stacked LQU holds a (CHUNK, 3, 3, 8, 8) complex Xi product, 9 KiB per point,
+# while past a few dozen points a larger chunk saves no time per point.
+CHUNK = 64
 
-class _Point:
-    """One evaluated grid point.  Each shared intermediate is computed on
-    first read and at most once, so a quantity costs only what it reads."""
 
-    def __init__(self, state: RegionIState, convention: Convention):
-        self.state = state
+class _Chunk:
+    """Consecutive evaluated grid points.  Each shared intermediate is
+    computed on first read and at most once: LQU and decoherence in one
+    stacked call for the whole chunk, the steering reports per point."""
+
+    def __init__(self, states: list[RegionIState], convention: Convention):
+        self.states = states
         self.convention = convention
 
     @cached_property
-    def decoherence(self) -> DecoherenceReport:
-        return decoherence_triple(self.state)
+    def matrices(self) -> np.ndarray:
+        return np.stack([state.matrix for state in self.states])
 
     @cached_property
-    def steering(self) -> SteeringReport:
-        return steering_report(self.state, self.convention)
+    def decoherence(self) -> DecoherenceReport:
+        return decoherence_stack(self.matrices)
+
+    @cached_property
+    def lqu(self) -> np.ndarray:
+        return lqu_stack(self.matrices).value
+
+    @cached_property
+    def steering(self) -> list[SteeringReport]:
+        return [steering_report(state, self.convention) for state in self.states]
 
 
-# Every quantity a sweep can request, with the function that reads it from a point.
+# Every quantity a sweep can request, with the function that reads its
+# values from a chunk, one per point in chunk order.
 _QUANTITY_TABLE = {
-    "d_total": lambda point: point.decoherence.d_total,
-    "d_qubit": lambda point: point.decoherence.d_qubit,
-    "d_qutrit": lambda point: point.decoherence.d_qutrit,
-    "lqu": lambda point: lqu(point.state).value,
-    "s_ab_oracle": lambda point: point.steering.s_ab_oracle,
-    "s_ba_oracle": lambda point: point.steering.s_ba_oracle,
-    "i_ab_closed": lambda point: point.steering.i_ab_closed,
-    "i_ba_closed": lambda point: point.steering.i_ba_closed,
-    "steer_ab": lambda point: point.steering.steer_ab,
-    "steer_ba": lambda point: point.steering.steer_ba,
-    "steer_diff": lambda point: abs(point.steering.steer_ab - point.steering.steer_ba),
+    "d_total": lambda chunk: chunk.decoherence.d_total.tolist(),
+    "d_qubit": lambda chunk: chunk.decoherence.d_qubit.tolist(),
+    "d_qutrit": lambda chunk: chunk.decoherence.d_qutrit.tolist(),
+    "lqu": lambda chunk: chunk.lqu.tolist(),
+    "s_ab_oracle": lambda chunk: [report.s_ab_oracle for report in chunk.steering],
+    "s_ba_oracle": lambda chunk: [report.s_ba_oracle for report in chunk.steering],
+    "i_ab_closed": lambda chunk: [report.i_ab_closed for report in chunk.steering],
+    "i_ba_closed": lambda chunk: [report.i_ba_closed for report in chunk.steering],
+    "steer_ab": lambda chunk: [report.steer_ab for report in chunk.steering],
+    "steer_ba": lambda chunk: [report.steer_ba for report in chunk.steering],
+    "steer_diff": lambda chunk: [abs(report.steer_ab - report.steer_ba) for report in chunk.steering],
 }
 
 QUANTITIES = tuple(_QUANTITY_TABLE)
@@ -134,17 +149,31 @@ class SweepConfig:
         unknown = set(self.quantities) - set(QUANTITIES)
         if unknown:
             raise ConfigError(f"unknown quantities {sorted(unknown)}; available: {', '.join(QUANTITIES)}")
+        # Each (scenario, p, r_q, r_t, phi, quantity) output key must occur once.
+        for what, values in (("quantity", self.quantities), ("p", self.p_values), ("r", self.r_values)):
+            seen = set()
+            for value in values:
+                if value in seen:
+                    raise ConfigError(f"repeated {what} {value!r}; every output record must be unique")
+                seen.add(value)
+        if self.scenario is Scenario.NONE and len(self.r_values) > 1:
+            raise ConfigError(
+                f"scenario none ignores r and takes a single r value, got {len(self.r_values)}"
+            )
         if self.workers < 1:
             raise ConfigError(f"workers must be positive, got {self.workers}")
 
 
-def _evaluate_point(task) -> list[SweepRecord]:
-    scenario_value, p, r, phi, quantities, convention_value = task
-    params = ModelParams.for_scenario(Scenario(scenario_value), p, r, phi)
-    point = _Point(accelerate_closed(params), Convention(convention_value))
+def _evaluate_chunk(task) -> list[SweepRecord]:
+    scenario_value, points, phi, quantities, convention_value = task
+    scenario = Scenario(scenario_value)
+    params = [ModelParams.for_scenario(scenario, p, r, phi) for p, r in points]
+    chunk = _Chunk([accelerate_closed(point) for point in params], Convention(convention_value))
+    columns = [(name, _QUANTITY_TABLE[name](chunk)) for name in quantities]
     return [
-        SweepRecord(scenario_value, p, params.r_q, params.r_t, phi, name, _QUANTITY_TABLE[name](point))
-        for name in quantities
+        SweepRecord(scenario_value, point.p, point.r_q, point.r_t, phi, name, values[k])
+        for k, point in enumerate(params)
+        for name, values in columns
     ]
 
 
@@ -156,18 +185,18 @@ def _pool_size(workers: int, tasks: int) -> int:
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate a sweep and return records in deterministic order."""
     config.validate()
+    points = [(p, r) for p in config.p_values for r in config.r_values]
     tasks = [
-        (config.scenario.value, p, r, config.phi, config.quantities, config.convention.value)
-        for p in config.p_values
-        for r in config.r_values
+        (config.scenario.value, points[start:start + CHUNK], config.phi, config.quantities,
+         config.convention.value)
+        for start in range(0, len(points), CHUNK)
     ]
     workers = _pool_size(config.workers, len(tasks))
     if workers == 1:
-        batches = map(_evaluate_point, tasks)
+        batches = map(_evaluate_chunk, tasks)
     else:
-        chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_evaluate_point, tasks, chunksize=chunk))
+            batches = list(pool.map(_evaluate_chunk, tasks))
     records = [record for batch in batches for record in batch]
     for record in records:
         if not math.isfinite(record.value):

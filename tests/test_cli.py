@@ -81,7 +81,7 @@ class TestSweepCommand:
         def no_evaluation(task):
             raise AssertionError("grid point evaluated")
 
-        monkeypatch.setattr(sweep, "_evaluate_point", no_evaluation)
+        monkeypatch.setattr(sweep, "_evaluate_chunk", no_evaluation)
         out = tmp_path / "x.csv"
         code = main(
             ["sweep", "--scenario", "qubit", "--p", "0.1,0.2", "--r", "0:0.7:50001",
@@ -90,6 +90,24 @@ class TestSweepCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "exceeds the cap" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--scenario", "qubit", "--p", "0.1,0.1", "--r", "0:0.5:2", "--quantities", "lqu,lqu"],
+             "repeated quantity 'lqu'"),
+            (["--scenario", "qubit", "--p", "0.1,0.2,0.1", "--r", "0:0.5:2"], "repeated p 0.1"),
+            (["--scenario", "qutrit", "--p", "0.1", "--r", "0.3:0.3:2"], "repeated r 0.3"),
+            (["--scenario", "none", "--p", "0.1", "--r", "0:0.7:3"], "single r value, got 3"),
+        ],
+        ids=["quantity", "p", "r", "none-with-r-grid"],
+    )
+    def test_repeated_output_key_is_config_error_and_writes_nothing(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
 
     def test_fifo_out_is_config_error(self, tmp_path, capsys):

@@ -37,6 +37,7 @@ from unruh_steering.model import (
     _SLOT_OF_NATURAL,
     accelerate_closed,
     initial_state,
+    tensor_order,
 )
 
 
@@ -484,3 +485,72 @@ class TestKernelBitIdentity:
         assert np.array_equal(got.xi, expected.xi)
         assert got.gammas == expected.gammas
         assert got.value == expected.value
+
+
+def _unvalidated(matrix):
+    """A ``RegionIState`` over ``matrix`` that skips construction's checks."""
+    state = object.__new__(RegionIState)
+    object.__setattr__(state, "matrix", matrix)
+    return state
+
+
+class TestStackedKernels:
+    angles = st.floats(0.0, 2 * math.pi)
+    points = st.tuples(st.sampled_from(list(Scenario)), st.floats(0.0, 0.5), st.floats(0.0, R_MAX),
+                       st.floats(-10.0, 10.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        points=st.lists(points, min_size=1, max_size=9),
+        rotation=st.tuples(angles, angles, angles),
+        at=st.integers(0, 12),
+    )
+    def test_stacked_values_equal_the_per_state_calls(self, points, rotation, at):
+        _, p, r, phi = points[0]
+        states = [scenario_state(scenario, p, r, phi) for scenario in Scenario]
+        states += [scenario_state(*point) for point in points]
+        states.insert(at % (len(states) + 1), _qubit_rotated(states[-1], *rotation))  # not an X state
+        matrices = np.stack([state.matrix for state in states])
+        stacked_lqu = measures.lqu_stack(matrices)
+        stacked_triple = measures.decoherence_stack(matrices)
+        for k, state in enumerate(states):
+            one, triple = lqu(state), decoherence_triple(state)
+            assert np.array_equal(stacked_lqu.xi[k], one.xi)
+            assert np.array_equal(stacked_lqu.gammas[k], one.gammas)
+            assert stacked_lqu.value[k] == one.value
+            assert stacked_triple.d_total[k] == triple.d_total
+            assert stacked_triple.d_qubit[k] == triple.d_qubit
+            assert stacked_triple.d_qutrit[k] == triple.d_qutrit
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("defect", ["not-hermitian", "negative-eigenvalue"])
+    def test_one_invalid_member_raises_the_per_state_error(self, defect, at):
+        states = [scenario_state(scenario, 0.1, 0.4, 0.3) for scenario in Scenario]
+        bad = states[1].matrix.copy()  # qubit scenario: the |0 pair> level is empty
+        if defect == "not-hermitian":
+            bad[0, 1] += 1e-6
+        else:
+            bad[0, 0] += 1e-6
+            bad[6, 6] -= 1e-6
+        matrices = np.insert(np.stack([state.matrix for state in states]), at, bad, axis=0)
+        for per_state, stacked in (
+            (lambda: lqu(_unvalidated(bad)), lambda: measures.lqu_stack(matrices)),
+            (lambda: psd_sqrt(tensor_order(bad)), lambda: psd_sqrt(tensor_order(matrices))),
+        ):
+            with pytest.raises(ValueError) as expected:
+                per_state()
+            with pytest.raises(ValueError) as got:
+                stacked()
+            assert str(got.value) == str(expected.value)
+            reason = "not Hermitian" if defect == "not-hermitian" else "not positive semidefinite"
+            assert reason in str(got.value)
+
+    def test_member_with_a_trace_defect_raises_the_per_state_error(self):
+        states = [scenario_state(scenario, 0.2, 0.5) for scenario in Scenario]
+        bad = states[3].matrix * (1.0 + 1e-6)
+        matrices = np.insert(np.stack([state.matrix for state in states]), 2, bad, axis=0)
+        with pytest.raises(ValueError, match="trace deviates") as expected:
+            decoherence_triple(_unvalidated(bad))
+        with pytest.raises(ValueError) as got:
+            measures.decoherence_stack(matrices)
+        assert str(got.value) == str(expected.value)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unruh_steering import measures, sweep
+from unruh_steering.cli import main
 from unruh_steering.measures import Convention, decoherence_triple, lqu, steering_report
 from unruh_steering.model import ModelParams, R_MAX, Scenario, accelerate_closed
 from unruh_steering.sweep import (
@@ -62,7 +63,7 @@ class TestConfigValidation:
         def no_evaluation(task):
             raise AssertionError("grid point evaluated")
 
-        monkeypatch.setattr(sweep, "_evaluate_point", no_evaluation)
+        monkeypatch.setattr(sweep, "_evaluate_chunk", no_evaluation)
         r_values = tuple(np.linspace(0.0, R_MAX, sweep.GRID_POINTS_MAX // 2 + 1))
         config = SweepConfig(Scenario.QUBIT, p_values=(0.1, 0.2), r_values=r_values, quantities=("d_total",))
         with pytest.raises(ConfigError, match="exceeds the cap"):
@@ -71,6 +72,27 @@ class TestConfigValidation:
     def test_grid_at_the_cap_is_accepted(self):
         r_values = tuple(np.linspace(0.0, R_MAX, sweep.GRID_POINTS_MAX // 2))
         SweepConfig(Scenario.QUBIT, p_values=(0.1, 0.2), r_values=r_values, quantities=("d_total",)).validate()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"quantities": ("lqu", "d_total", "lqu")}, "repeated quantity 'lqu'"),
+            ({"p_values": (0.1, 0.2, 0.1)}, "repeated p 0.1"),
+            ({"r_values": (0.0, 0.3, 0.3)}, "repeated r 0.3"),
+        ],
+        ids=["quantity", "p", "r"],
+    )
+    def test_repeated_key_component_is_rejected(self, changes, message):
+        settings = {"p_values": (0.1, 0.2), "r_values": (0.0, 0.3), "quantities": ("lqu", "d_total")}
+        config = SweepConfig(Scenario.QUBIT, **{**settings, **changes})
+        with pytest.raises(ConfigError, match=message):
+            config.validate()
+
+    def test_scenario_none_takes_a_single_r_value(self):
+        config = SweepConfig(Scenario.NONE, p_values=(0.1,), r_values=(0.0, 0.35, 0.7))
+        with pytest.raises(ConfigError, match="single r value, got 3"):
+            config.validate()
+        SweepConfig(Scenario.NONE, p_values=(0.1,), r_values=(0.7,)).validate()
 
     def test_validation_happens_before_computation(self):
         config = SweepConfig(Scenario.NONE, p_values=(0.9,), quantities=("d_total",))
@@ -371,10 +393,11 @@ class TestQuantityTable:
                 return _function(*args)
 
             monkeypatch.setattr(measures, name, counted)
-        point = sweep._Point(accelerate_closed(ModelParams.for_scenario(Scenario.BOTH, 0.1, 0.4)), convention)
+        state = accelerate_closed(ModelParams.for_scenario(Scenario.BOTH, 0.1, 0.4))
+        chunk = sweep._Chunk([state], convention)
         for _ in range(2):
             for read in sweep._QUANTITY_TABLE.values():
-                read(point)
+                read(chunk)
         assert calls == {"steering_sum_oracle": 2, "steering_closed": 2}
 
     def test_decoherence_and_lqu_build_no_steering_report(self, monkeypatch):
@@ -385,3 +408,71 @@ class TestQuantityTable:
         quantities = ("d_total", "d_qubit", "d_qutrit", "lqu")
         config = SweepConfig(Scenario.BOTH, p_values=(0.1,), r_values=(0.0, 0.4), quantities=quantities)
         assert len(run_sweep(config)) == 2 * len(quantities)
+
+
+class TestChunkedSweep:
+    CHUNK = 3
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(sweep, "CHUNK", self.CHUNK)
+
+    @pytest.mark.parametrize("convention", list(Convention))
+    @pytest.mark.parametrize(
+        "p_values, r_count",
+        [((0.2,), 1), ((0.0, 0.3), 1), ((0.3,), CHUNK), ((0.1, 0.4), 2)],
+        ids=["1", "CHUNK-1", "CHUNK", "CHUNK+1"],
+    )
+    def test_records_equal_the_per_point_values(self, p_values, r_count, convention):
+        r_values = tuple(float(r) for r in np.linspace(0.1, R_MAX, r_count))
+        config = SweepConfig(Scenario.BOTH, p_values=p_values, r_values=r_values, phi=0.7,
+                             convention=convention)
+        records = run_sweep(config)
+        assert len(records) == len(p_values) * r_count * len(QUANTITIES)
+        expected = {
+            (p, r): _reference_values(Scenario.BOTH, p, r, 0.7, convention)
+            for p in p_values
+            for r in r_values
+        }
+        assert {(rec.p, rec.r_q, rec.quantity): rec.value for rec in records} == {
+            (p, r, name): value for (p, r), values in expected.items() for name, value in values.items()
+        }
+
+    def test_worker_counts_write_identical_bytes(self, tmp_path):
+        outputs = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}.json"
+            argv = ["sweep", "--scenario", "qutrit", "--p", "0.0,0.2", "--r", "0:0.7:5",
+                    "--format", "json", "--workers", str(workers), "--out", str(out)]
+            assert main(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_lqu_and_decoherence_use_only_the_stacked_kernels(self, monkeypatch):
+        quantities = ("d_total", "d_qubit", "d_qutrit", "lqu")
+        config = SweepConfig(
+            Scenario.QUBIT, p_values=(0.1, 0.3), r_values=(0.0, 0.4, 0.7), quantities=quantities
+        )
+        expected = {(p, r): _reference_values(Scenario.QUBIT, p, r, 0.0, Convention.AS_PRINTED)
+                    for p in config.p_values for r in config.r_values}
+
+        def per_state(*args):
+            raise AssertionError("per-state kernel called by a sweep")
+
+        for module in (measures, sweep):
+            monkeypatch.setattr(module, "lqu", per_state, raising=False)
+            monkeypatch.setattr(module, "decoherence_triple", per_state, raising=False)
+        records = run_sweep(config)
+        assert len(records) == 6 * len(quantities)
+        for rec in records:
+            assert rec.value == expected[(rec.p, rec.r_q)][rec.quantity]
+
+    def test_steering_only_sweep_builds_no_stack(self, monkeypatch):
+        def no_stack(*args):
+            raise AssertionError("stacked kernel called for steering quantities")
+
+        monkeypatch.setattr(sweep, "lqu_stack", no_stack)
+        monkeypatch.setattr(sweep, "decoherence_stack", no_stack)
+        config = SweepConfig(Scenario.BOTH, p_values=(0.1,), r_values=(0.0, 0.3, 0.5, 0.7),
+                             quantities=("steer_ab", "i_ba_closed", "s_ab_oracle"))
+        assert len(run_sweep(config)) == 4 * 3
