@@ -41,19 +41,6 @@ class Convention(Enum):
     DEFICIT_NORMALIZED = "deficit"
 
 
-@dataclass(frozen=True)
-class SteeringBound:
-    """Entropic bounds: gamma per side, maxima of the printed violations."""
-
-    gamma_qubit: float = 2.0
-    gamma_qutrit: float = 3.0
-    s_max_ab: float = 4.0
-    s_max_ba: float = 3.0
-
-
-STEERING_BOUNDS = SteeringBound()
-
-
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian operator with explicit spectral projectors.
@@ -406,16 +393,6 @@ def steering_closed(state: RegionIState, direction: Direction) -> float:
     )
 
 
-def steerability(value: float, direction: Direction, convention: Convention) -> float:
-    """Normalize a steering value into a degree in [0, 1]."""
-    if convention is Convention.AS_PRINTED:
-        bound = STEERING_BOUNDS.gamma_qutrit if direction is Direction.A_TO_B else STEERING_BOUNDS.gamma_qubit
-        span = (STEERING_BOUNDS.s_max_ab if direction is Direction.A_TO_B else STEERING_BOUNDS.s_max_ba) - bound
-        return min(1.0, max(0.0, (value - bound) / span))
-    gamma = STEERING_BOUNDS.gamma_qutrit if direction is Direction.A_TO_B else STEERING_BOUNDS.gamma_qubit
-    return max(0.0, (gamma - value) / gamma)
-
-
 def steering_degrees(
     value_ab: float, value_ba: float, convention: Convention
 ) -> tuple[float, float]:
@@ -434,12 +411,15 @@ def steering_degrees(
     DEFICIT_NORMALIZED takes the conditional-entropy sums ``(s_ab, s_ba)``
     and measures how far they drop below their bounds, with the printed
     direction labels.
+
+    The classical bounds are 3 for A -> B and 2 for B -> A.  Under
+    AS_PRINTED each closed form's printed maximum (4 and 3) lies one unit
+    above its bound, so a degree is the value less its bound, clamped to
+    [0, 1]; under DEFICIT_NORMALIZED it is ``max(0, (bound - s) / bound)``.
     """
-    degree_ab = steerability(value_ab, Direction.A_TO_B, convention)
-    degree_ba = steerability(value_ba, Direction.B_TO_A, convention)
     if convention is Convention.AS_PRINTED:
-        return degree_ba, degree_ab
-    return degree_ab, degree_ba
+        return min(1.0, max(0.0, value_ba - 2.0)), min(1.0, max(0.0, value_ab - 3.0))
+    return max(0.0, (3.0 - value_ab) / 3.0), max(0.0, (2.0 - value_ba) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)

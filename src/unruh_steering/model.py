@@ -16,9 +16,10 @@ operations (partial traces, local observables) are needed.
 
 Two independent routes produce the accelerated state:
 
-* ``accelerate_closed`` evaluates the per-element closed forms of the
-  single-subsystem channels, composing them sequentially (qutrit first)
-  when both subsystems accelerate.
+* ``accelerate_closed`` evaluates the per-element closed forms on one
+  path for every scenario: it starts from the qutrit channel's element
+  table when the qutrit accelerates and from the inertial elements
+  otherwise, then applies the qubit channel when the qubit accelerates.
 * ``accelerate_oracle`` substitutes the accelerated computational bases
   into the inertial state, builds the full density matrix with the
   region-II factors trailing, and traces region II out.
@@ -171,17 +172,19 @@ def initial_state(p: float) -> RegionIState:
     return RegionIState(_inertial_matrix(p))
 
 
+def _inertial_elements(p: float):
+    """Labeled elements of the inertial state: populations and the two
+    coherences, the pair levels empty."""
+    hp = p / 2.0
+    hr = (1.0 - 2.0 * p) / 2.0
+    diag = [hp, hp, hr, hr, hp, hp, 0.0, 0.0]
+    upper = {(0, 5): hp, (2, 3): hr}
+    return diag, upper
+
+
 def _inertial_matrix(p: float) -> np.ndarray:
     """The labeled-order matrix of :func:`initial_state`, unvalidated."""
-    half_p = p / 2.0
-    half_rest = (1.0 - 2.0 * p) / 2.0
-    m = np.zeros((8, 8), dtype=complex)
-    for slot in (0, 1, 4, 5):
-        m[slot, slot] = half_p
-    m[2, 2] = m[3, 3] = half_rest
-    m[0, 5] = m[5, 0] = half_p
-    m[2, 3] = m[3, 2] = half_rest
-    return m
+    return _labeled_matrix(*_inertial_elements(p))
 
 
 def _labeled_matrix(diag, upper) -> np.ndarray:
@@ -191,25 +194,6 @@ def _labeled_matrix(diag, upper) -> np.ndarray:
         m[i, j] = value
         m[j, i] = np.conj(value)
     return m
-
-
-def _qubit_accelerated_elements(p: float, r: float):
-    """Channel output elements when only the qubit accelerates."""
-    c, s = math.cos(r), math.sin(r)
-    hp = p / 2.0
-    hr = (1.0 - 2.0 * p) / 2.0
-    diag = [
-        hp * c * c,
-        hp * c * c,
-        hr * c * c,
-        hp * s * s + hr,
-        hp * (s * s + 1.0),
-        hr * s * s + hp,
-        0.0,
-        0.0,
-    ]
-    upper = {(0, 5): hp * c, (2, 3): hr * c}
-    return diag, upper
 
 
 def _qutrit_accelerated_elements(p: float, r: float):
@@ -238,12 +222,14 @@ def _qutrit_accelerated_elements(p: float, r: float):
 
 
 def _compose_qubit_channel(diag, upper, r: float, as_printed: bool):
-    """Apply the qubit acceleration channel on top of qutrit-channel elements.
+    """Apply the qubit acceleration channel to labeled elements: the
+    inertial ones, or the qutrit channel's output when both subsystems
+    accelerate.
 
-    ``as_printed`` reproduces the printed element table verbatim, which
-    feeds the |11> population instead of the |10> one into the |10> output
-    and therefore does not preserve the trace; the corrected composition
-    is the default.
+    ``as_printed`` reproduces the printed doubly accelerated element table
+    verbatim, which feeds the |11> population instead of the |10> one into
+    the |10> output and therefore does not preserve the trace;
+    ``accelerate_closed`` always applies the corrected channel.
     """
     c, s = math.cos(r), math.sin(r)
     c2, s2 = c * c, s * s
@@ -263,16 +249,18 @@ def _compose_qubit_channel(diag, upper, r: float, as_printed: bool):
 
 
 def accelerate_closed(params: ModelParams) -> RegionIState:
-    """Region-I state from the closed-form channel element tables; scenario
-    ``none`` is the identity channel and gives the inertial state."""
-    if params.scenario is Scenario.NONE:
-        return initial_state(params.p)
-    if params.scenario is Scenario.QUBIT:
-        diag, upper = _qubit_accelerated_elements(params.p, params.r_q)
-    elif params.scenario is Scenario.QUTRIT:
+    """Region-I state from the closed-form channel element tables.
+
+    One path for every scenario: the qutrit channel's table when the
+    scenario accelerates the qutrit, the inertial elements otherwise, then
+    the qubit channel on top when it accelerates the qubit.  Scenario
+    ``none`` applies neither channel and gives the inertial state.
+    """
+    if params.scenario in (Scenario.QUTRIT, Scenario.BOTH):
         diag, upper = _qutrit_accelerated_elements(params.p, params.r_t)
     else:
-        diag, upper = _qutrit_accelerated_elements(params.p, params.r_t)
+        diag, upper = _inertial_elements(params.p)
+    if params.scenario in (Scenario.QUBIT, Scenario.BOTH):
         diag, upper = _compose_qubit_channel(diag, upper, params.r_q, as_printed=False)
     return RegionIState(_labeled_matrix(diag, upper))
 

@@ -185,9 +185,11 @@ def _pool_size(workers: int, tasks: int) -> int:
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate a sweep and return records in deterministic order."""
     config.validate()
-    points = [(p, r) for p in config.p_values for r in config.r_values]
+    # x + 0.0 maps -0.0 to 0.0 and leaves every other float as it is, so a
+    # grid point has one key and one spelling in CSV and JSON alike.
+    points = [(p + 0.0, r + 0.0) for p in config.p_values for r in config.r_values]
     tasks = [
-        (config.scenario.value, points[start:start + CHUNK], config.phi, config.quantities,
+        (config.scenario.value, points[start:start + CHUNK], config.phi + 0.0, config.quantities,
          config.convention.value)
         for start in range(0, len(points), CHUNK)
     ]

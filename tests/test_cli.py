@@ -142,6 +142,20 @@ class TestSweepCommand:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_negative_zero_writes_the_bytes_of_zero(self, tmp_path, fmt):
+        outputs = []
+        for zero in ("-0.0", "0"):
+            out = tmp_path / f"{zero}.{fmt}"
+            code = main(
+                ["sweep", "--scenario", "qubit", f"--p={zero}", f"--r={zero}:0:1", f"--phi={zero}",
+                 "--quantities", "lqu,i_ab_closed", "--format", fmt, "--out", str(out)]
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"-0" not in outputs[0]
+
     def test_failed_render_leaves_no_partial_file(self, tmp_path, monkeypatch):
         calls = []
 

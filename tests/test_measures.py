@@ -13,7 +13,6 @@ from unruh_steering.measures import (
     JointDistribution,
     LquReport,
     Observable,
-    STEERING_BOUNDS,
     _entropy_bits,
     conditional_entropy,
     decoherence_triple,
@@ -21,7 +20,6 @@ from unruh_steering.measures import (
     linear_entropy,
     lqu,
     standard_observables,
-    steerability,
     steering_closed,
     steering_degrees,
     steering_report,
@@ -345,21 +343,22 @@ class TestSteeringClosed:
 
 class TestSteerability:
     def test_as_printed_arithmetic(self):
-        assert steerability(3.5, Direction.A_TO_B, Convention.AS_PRINTED) == pytest.approx(0.5)
-        assert steerability(2.9, Direction.A_TO_B, Convention.AS_PRINTED) == 0.0
-        assert steerability(2.5, Direction.B_TO_A, Convention.AS_PRINTED) == pytest.approx(0.5)
-        assert steerability(5.0, Direction.A_TO_B, Convention.AS_PRINTED) == 1.0
+        # the closed forms feed the exchanged labels: steer_ab from i_ba, steer_ba from i_ab
+        assert steering_degrees(3.5, 2.5, Convention.AS_PRINTED) == pytest.approx((0.5, 0.5))
+        assert steering_degrees(2.9, 1.9, Convention.AS_PRINTED) == (0.0, 0.0)
+        assert steering_degrees(5.0, 2.25, Convention.AS_PRINTED) == (0.25, 1.0)
 
     def test_deficit_arithmetic(self):
-        assert steerability(0.0, Direction.B_TO_A, Convention.DEFICIT_NORMALIZED) == pytest.approx(1.0)
-        assert steerability(1.5, Direction.A_TO_B, Convention.DEFICIT_NORMALIZED) == pytest.approx(0.5)
-        assert steerability(3.5, Direction.A_TO_B, Convention.DEFICIT_NORMALIZED) == 0.0
+        assert steering_degrees(1.5, 0.0, Convention.DEFICIT_NORMALIZED) == pytest.approx((0.5, 1.0))
+        assert steering_degrees(3.5, 2.5, Convention.DEFICIT_NORMALIZED) == (0.0, 0.0)
 
     def test_bounds_constants(self):
-        assert STEERING_BOUNDS.gamma_qubit == 2.0
-        assert STEERING_BOUNDS.gamma_qutrit == 3.0
-        assert STEERING_BOUNDS.s_max_ab == 4.0
-        assert STEERING_BOUNDS.s_max_ba == 3.0
+        # degree 0 at the classical bounds (3 for A -> B, 2 for B -> A) under both
+        # conventions, and degree 1 at the printed maxima 4 and 3
+        for convention in Convention:
+            assert steering_degrees(3.0, 2.0, convention) == (0.0, 0.0)
+        assert steering_degrees(4.0, 3.0, Convention.AS_PRINTED) == (1.0, 1.0)
+        assert steering_degrees(0.0, 0.0, Convention.DEFICIT_NORMALIZED) == (1.0, 1.0)
 
     def test_range_on_grid_both_conventions(self):
         for state in grid_states():
@@ -373,12 +372,8 @@ class TestSteeringReport:
     def test_as_printed_uses_figure_matching_assignment(self):
         state = accelerate_closed(ModelParams(p=0.05, r_q=0.3, scenario=Scenario.QUBIT))
         report = steering_report(state)
-        assert report.steer_ab == pytest.approx(
-            steerability(report.i_ba_closed, Direction.B_TO_A, Convention.AS_PRINTED)
-        )
-        assert report.steer_ba == pytest.approx(
-            steerability(report.i_ab_closed, Direction.A_TO_B, Convention.AS_PRINTED)
-        )
+        assert report.steer_ab == min(1.0, max(0.0, report.i_ba_closed - 2.0))
+        assert report.steer_ba == min(1.0, max(0.0, report.i_ab_closed - 3.0))
 
     def test_deficit_uses_oracle_sums(self):
         state = initial_state(0.0)
@@ -387,12 +382,8 @@ class TestSteeringReport:
         assert report.steer_ba == pytest.approx((2.0 - report.s_ba_oracle) / 2.0)
 
     def test_degrees_exchange_labels_only_as_printed(self):
-        printed_ab = steerability(3.5, Direction.A_TO_B, Convention.AS_PRINTED)
-        printed_ba = steerability(2.25, Direction.B_TO_A, Convention.AS_PRINTED)
-        assert steering_degrees(3.5, 2.25, Convention.AS_PRINTED) == (printed_ba, printed_ab)
-        deficit_ab = steerability(1.5, Direction.A_TO_B, Convention.DEFICIT_NORMALIZED)
-        deficit_ba = steerability(0.5, Direction.B_TO_A, Convention.DEFICIT_NORMALIZED)
-        assert steering_degrees(1.5, 0.5, Convention.DEFICIT_NORMALIZED) == (deficit_ab, deficit_ba)
+        assert steering_degrees(3.5, 2.25, Convention.AS_PRINTED) == (0.25, 0.5)
+        assert steering_degrees(1.5, 0.5, Convention.DEFICIT_NORMALIZED) == (0.5, 0.75)
 
     def test_as_printed_report_builds_no_joint_tables(self, monkeypatch):
         def no_joint_tables(*args, **kwargs):

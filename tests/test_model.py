@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unruh_steering.model import (
     ModelParams,
@@ -40,6 +42,29 @@ def params_for(scenario, p, r, phi=0.0):
         phi=phi,
         scenario=scenario,
     )
+
+
+def printed_qubit_table(p, r):
+    """The printed element table of the singly accelerated qubit, as a
+    labeled-order matrix: the reference for the closed route, which builds
+    this state as the qubit channel applied to the inertial elements."""
+    c, s = math.cos(r), math.sin(r)
+    hp = p / 2.0
+    hr = (1.0 - 2.0 * p) / 2.0
+    m = np.zeros((8, 8), dtype=complex)
+    m[np.arange(8), np.arange(8)] = [
+        hp * c * c,
+        hp * c * c,
+        hr * c * c,
+        hp * s * s + hr,
+        hp * (s * s + 1.0),
+        hr * s * s + hp,
+        0.0,
+        0.0,
+    ]
+    m[0, 5] = m[5, 0] = hp * c
+    m[2, 3] = m[3, 2] = hr * c
+    return m
 
 
 class TestModelParams:
@@ -194,6 +219,18 @@ class TestAccelerateClosed:
 
     def test_scenario_none_is_the_identity_channel(self):
         assert_none_gives_initial_state(accelerate_closed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(0.0, 0.5), r=st.floats(0.0, R_MAX))
+    def test_qubit_state_matches_the_printed_table(self, p, r):
+        state = accelerate_closed(ModelParams.for_scenario(Scenario.QUBIT, p, r))
+        assert np.abs(state.matrix - printed_qubit_table(p, r)).max() <= 1e-15
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.floats(0.0, 0.5))
+    def test_qubit_state_is_the_printed_table_at_r_zero(self, p):
+        state = accelerate_closed(ModelParams.for_scenario(Scenario.QUBIT, p, 0.0))
+        assert np.array_equal(state.matrix, printed_qubit_table(p, 0.0))
 
 
 class TestAccelerateOracle:
