@@ -58,12 +58,6 @@ _SLOT_OF_NATURAL = tuple(int(i) for i in np.argsort(_NATURAL_OF_SLOT))
 _SLOTS_IN_NATURAL_ORDER = np.array(_SLOT_OF_NATURAL)
 
 
-def label_text(label: BasisLabel) -> str:
-    """Human-readable ket for a basis label, e.g. ``|0 2>`` or ``|1 pair>``."""
-    q, t = label
-    return f"|{q} {'pair' if t == PAIR else t}>"
-
-
 class Scenario(StrEnum):
     """Which subsystem undergoes uniform acceleration."""
 
