@@ -163,17 +163,19 @@ def _run_sweep_command(args) -> int:
         convention=_CONVENTIONS[settings["convention"]],
         workers=workers,
     )
-    records = run_sweep(config)
-    write_output(records, settings["out"], settings["format"])
-    print(f"wrote {len(records)} records to {settings['out']}")
-    return 0
+    return _write_sweep(config, settings["out"], settings["format"])
 
 
 def _run_preset_command(args) -> int:
     config = preset_config(args.name, workers=args.workers)
+    return _write_sweep(config, args.out, args.format, prefix=f"preset {args.name}: ")
+
+
+def _write_sweep(config: SweepConfig, out: str, fmt: str, prefix: str = "") -> int:
+    """Stream a sweep's records into ``out`` and print how many were written."""
     records = run_sweep(config)
-    write_output(records, args.out, args.format)
-    print(f"preset {args.name}: wrote {len(records)} records to {args.out}")
+    write_output(records, out, fmt)
+    print(f"{prefix}wrote {len(records)} records to {out}")
     return 0
 
 

@@ -124,13 +124,6 @@ class RegionIState:
         if lowest < -1e-10:
             raise ValueError(f"state has negative eigenvalue {lowest:.3e}")
 
-    def element(self, row: BasisLabel, col: BasisLabel) -> complex:
-        """Matrix element by basis label."""
-        for label in (row, col):
-            if label not in BASIS_8:
-                raise ValueError(f"unknown basis label {label!r}")
-        return complex(self.matrix[BASIS_8.index(row), BASIS_8.index(col)])
-
     def tensor_matrix(self) -> np.ndarray:
         """The state in natural row-major Kronecker order (2x4).
 
@@ -215,24 +208,17 @@ def _qutrit_accelerated_elements(p: float, r: float):
     return diag, upper
 
 
-def _compose_qubit_channel(diag, upper, r: float, as_printed: bool):
+def _compose_qubit_channel(diag, upper, r: float):
     """Apply the qubit acceleration channel to labeled elements: the
     inertial ones, or the qutrit channel's output when both subsystems
-    accelerate.
-
-    ``as_printed`` reproduces the printed doubly accelerated element table
-    verbatim, which feeds the |11> population instead of the |10> one into
-    the |10> output and therefore does not preserve the trace;
-    ``accelerate_closed`` always applies the corrected channel.
-    """
+    accelerate."""
     c, s = math.cos(r), math.sin(r)
     c2, s2 = c * c, s * s
-    slot_10 = diag[4] if as_printed else diag[3]
     out_diag = [
         c2 * diag[0],
         c2 * diag[1],
         c2 * diag[2],
-        slot_10 + s2 * diag[0],
+        diag[3] + s2 * diag[0],
         diag[4] + s2 * diag[1],
         diag[5] + s2 * diag[2],
         c2 * diag[6],
@@ -255,21 +241,22 @@ def accelerate_closed(params: ModelParams) -> RegionIState:
     else:
         diag, upper = _inertial_elements(params.p)
     if params.scenario in (Scenario.QUBIT, Scenario.BOTH):
-        diag, upper = _compose_qubit_channel(diag, upper, params.r_q, as_printed=False)
+        diag, upper = _compose_qubit_channel(diag, upper, params.r_q)
     return RegionIState(_labeled_matrix(diag, upper))
 
 
 def as_printed_both_matrix(params: ModelParams) -> np.ndarray:
-    """Verbatim printed element table for the doubly accelerated state.
-
-    Returned as a raw labeled-order matrix because its trace deviates from
-    one whenever the |10> and |11> qutrit-channel populations differ; the
-    verification harness reports that deviation against the oracle.
+    """Verbatim printed element table for the doubly accelerated state: the
+    qubit channel fed the |11> qutrit-channel population in place of the
+    |10> one.  Returned as a raw labeled-order matrix because its trace
+    deviates from one whenever those populations differ; the verification
+    harness reports that deviation against the oracle.
     """
     if params.scenario is not Scenario.BOTH:
         raise ValueError("the as-printed table only exists for the doubly accelerated scenario")
     diag, upper = _qutrit_accelerated_elements(params.p, params.r_t)
-    diag, upper = _compose_qubit_channel(diag, upper, params.r_q, as_printed=True)
+    diag[3] = diag[4]
+    diag, upper = _compose_qubit_channel(diag, upper, params.r_q)
     return _labeled_matrix(diag, upper)
 
 

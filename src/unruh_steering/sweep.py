@@ -1,13 +1,14 @@
 """Parameter sweeps over (scenario, p, r, phi) grids with flat-file output.
 
-Grid points are independent work items; results are always collected and
-sorted on a deterministic key before anything is written, so output files
-are byte-identical regardless of the worker count.
+Grids are evaluated chunk by chunk in key order (ascending p, r, quantity)
+and each chunk's records are yielded as they come, so output files are
+byte-identical regardless of the worker count and no record list is held.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -82,7 +83,7 @@ CSV_HEADER = "scenario,p,r_q,r_t,phi,quantity,value"
 
 DEFAULT_R_STEPS = 101
 
-GRID_POINTS_MAX = 100_000  # largest (p, r) grid one sweep evaluates; every record is held in memory
+GRID_POINTS_MAX = 100_000  # largest (p, r) grid one sweep evaluates; bounds work, not memory
 
 
 class ConfigError(ValueError):
@@ -100,10 +101,6 @@ class SweepRecord:
     phi: float
     quantity: str
     value: float
-
-    @property
-    def sort_key(self):
-        return (self.scenario, self.p, self.r_q, self.r_t, self.phi, self.quantity)
 
 
 _RECORD_FIELDS = tuple(field.name for field in fields(SweepRecord))
@@ -170,11 +167,15 @@ def _evaluate_chunk(task) -> list[SweepRecord]:
     params = [ModelParams.for_scenario(scenario, p, r, phi) for p, r in points]
     chunk = _Chunk([accelerate_closed(point) for point in params], Convention(convention_value))
     columns = [(name, _QUANTITY_TABLE[name](chunk)) for name in quantities]
-    return [
+    records = [
         SweepRecord(scenario_value, point.p, point.r_q, point.r_t, phi, name, values[k])
         for k, point in enumerate(params)
         for name, values in columns
     ]
+    for record in records:
+        if not math.isfinite(record.value):
+            raise ValueError(f"non-finite value for {record}")
+    return records
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -182,29 +183,38 @@ def _pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, tasks))
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Evaluate a sweep and return records in deterministic order."""
-    config.validate()
-    # x + 0.0 maps -0.0 to 0.0 and leaves every other float as it is, so a
-    # grid point has one key and one spelling in CSV and JSON alike.
-    points = [(p + 0.0, r + 0.0) for p in config.p_values for r in config.r_values]
-    tasks = [
-        (config.scenario.value, points[start:start + CHUNK], config.phi + 0.0, config.quantities,
-         config.convention.value)
-        for start in range(0, len(points), CHUNK)
-    ]
-    workers = _pool_size(config.workers, len(tasks))
-    if workers == 1:
-        batches = map(_evaluate_chunk, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_evaluate_chunk, tasks))
-    records = [record for batch in batches for record in batch]
-    for record in records:
-        if not math.isfinite(record.value):
-            raise ValueError(f"non-finite value for {record}")
-    records.sort(key=lambda record: record.sort_key)
-    return records
+class Sweep:
+    """A validated sweep's records, sized from the config and evaluated anew
+    on each iteration: ascending p, r and quantity name, chunk by chunk.  A
+    chunk that holds a non-finite value raises before any of it is yielded."""
+
+    def __init__(self, config: SweepConfig):
+        config.validate()
+        self.config = config
+
+    def __len__(self) -> int:
+        return len(self.config.p_values) * len(self.config.r_values) * len(self.config.quantities)
+
+    def __iter__(self):
+        config = self.config
+        # x + 0.0 maps -0.0 to 0.0 and leaves every other float as it is, so a
+        # grid point has one key and one spelling in CSV and JSON alike.
+        points = itertools.product(sorted(p + 0.0 for p in config.p_values),
+                                   sorted(r + 0.0 for r in config.r_values))
+        quantities = tuple(sorted(config.quantities))
+        tasks = ((config.scenario.value, chunk, config.phi + 0.0, quantities, config.convention.value)
+                 for chunk in iter(lambda: list(itertools.islice(points, CHUNK)), []))
+        workers = _pool_size(config.workers, math.ceil(len(config.p_values) * len(config.r_values) / CHUNK))
+        if workers == 1:
+            yield from itertools.chain.from_iterable(map(_evaluate_chunk, tasks))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                yield from itertools.chain.from_iterable(pool.map(_evaluate_chunk, tasks))
+
+
+def run_sweep(config: SweepConfig) -> Sweep:
+    """Validate a sweep and return its records as a sized lazy stream."""
+    return Sweep(config)
 
 
 def format_value(value: float) -> str:

@@ -72,11 +72,11 @@ class VerificationReport:
 
 
 def _sweep(scenario: Scenario, p_values, r_values, quantities, convention=Convention.AS_PRINTED):
-    """The sweep's values of each quantity as a ``(p, r)`` array.  Records
-    come sorted by (p, r, quantity), so ascending grids reshape in place."""
+    """The sweep's values of each quantity as a ``(p, r)`` array, read in
+    one pass over its record stream.  The stream walks ascending p, r and
+    quantity name, so ascending grids reshape in place."""
     config = SweepConfig(scenario, p_values, r_values, quantities=quantities, convention=convention)
-    records = run_sweep(config)
-    values = np.array([record.value for record in records])
+    values = np.array([record.value for record in run_sweep(config)])
     values = values.reshape(len(p_values), len(r_values), len(quantities))
     return {name: values[..., k] for k, name in enumerate(sorted(quantities))}
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unruh_steering.model import (
+    BASIS_8,
     ModelParams,
     PAIR,
     R_MAX,
@@ -131,26 +132,22 @@ class TestInitialState:
 class TestRegionIState:
     def test_element_by_label(self):
         state = initial_state(0.1)
-        assert state.element((0, 2), (1, 0)) == pytest.approx(0.4)
-        assert state.element((0, 0), (1, 2)) == pytest.approx(0.05)
+        assert state.matrix[BASIS_8.index((0, 2)), BASIS_8.index((1, 0))] == pytest.approx(0.4)
+        assert state.matrix[BASIS_8.index((0, 0)), BASIS_8.index((1, 2))] == pytest.approx(0.05)
 
     def test_pair_labels_read_zero_on_inertial_state(self):
         state = initial_state(0.1)
-        assert state.element((0, PAIR), (0, PAIR)) == 0j
-        assert state.element((1, 1), (0, PAIR)) == 0j
-
-    def test_unknown_label_raises(self):
-        with pytest.raises(ValueError, match="unknown basis label"):
-            initial_state(0.1).element((2, 0), (0, 0))
+        assert state.matrix[BASIS_8.index((0, PAIR)), BASIS_8.index((0, PAIR))] == 0j
+        assert state.matrix[BASIS_8.index((1, 1)), BASIS_8.index((0, PAIR))] == 0j
 
     def test_tensor_matrix_matches_labeled_entries(self):
         params = ModelParams(p=0.2, r_t=0.5, scenario=Scenario.QUTRIT)
         state = accelerate_closed(params)
         nat = state.tensor_matrix()
         # |1 pair><0 1| sits at natural (1*4+3, 0*4+1)
-        assert nat[7, 1] == pytest.approx(state.element((1, PAIR), (0, 1)))
+        assert nat[7, 1] == pytest.approx(state.matrix[BASIS_8.index((1, PAIR)), BASIS_8.index((0, 1))])
         # |0 2><1 0| sits at natural (2, 4)
-        assert nat[2, 4] == pytest.approx(state.element((0, 2), (1, 0)))
+        assert nat[2, 4] == pytest.approx(state.matrix[BASIS_8.index((0, 2)), BASIS_8.index((1, 0))])
         assert nat.trace() == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
 import collections
+import gc
 import json
 import math
 import os
 import stat
+import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,9 +107,7 @@ class TestConfigValidation:
 class TestRunSweep:
     def test_single_pure_state_record(self):
         config = SweepConfig(Scenario.NONE, p_values=(0.0,), quantities=("d_total",))
-        records = run_sweep(config)
-        assert len(records) == 1
-        record = records[0]
+        [record] = run_sweep(config)
         assert record.scenario == "none"
         assert record.r_q == record.r_t == 0.0
         assert record.value == pytest.approx(0.0, abs=1e-12)
@@ -124,8 +126,8 @@ class TestRunSweep:
             r_values=(0.5, 0.0),
             quantities=("lqu", "d_total"),
         )
-        records = run_sweep(config)
-        keys = [rec.sort_key for rec in records]
+        keys = [(rec.scenario, rec.p, rec.r_q, rec.r_t, rec.phi, rec.quantity) for rec in run_sweep(config)]
+        assert len(keys) == 8
         assert keys == sorted(keys)
 
     def test_worker_counts_agree(self, tmp_path):
@@ -135,8 +137,8 @@ class TestRunSweep:
             r_values=tuple(np.linspace(0.0, R_MAX, 5)),
             quantities=("d_total", "steer_ab"),
         )
-        serial = run_sweep(config)
-        parallel = run_sweep(
+        serial = list(run_sweep(config))
+        parallel = list(run_sweep(
             SweepConfig(
                 Scenario.QUTRIT,
                 p_values=(0.0, 0.2),
@@ -144,7 +146,7 @@ class TestRunSweep:
                 quantities=("d_total", "steer_ab"),
                 workers=2,
             )
-        )
+        ))
         assert serial == parallel
         path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_output(serial, path_a)
@@ -166,11 +168,11 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
         config = SweepConfig(Scenario.QUBIT, p_values=(0.1,), quantities=("d_total",), workers=10**6)
-        assert len(run_sweep(config)) == 1
+        assert len(list(run_sweep(config))) == 1
 
     def test_scenario_maps_r_to_the_accelerated_subsystem(self):
         config = SweepConfig(Scenario.QUTRIT, p_values=(0.1,), r_values=(0.4,), quantities=("d_total",))
-        record = run_sweep(config)[0]
+        [record] = run_sweep(config)
         assert record.r_q == 0.0
         assert record.r_t == pytest.approx(0.4)
 
@@ -231,7 +233,7 @@ class TestWriteOutput:
         config = SweepConfig(
             Scenario.QUBIT, p_values=(0.1,), r_values=(0.0, 0.3), quantities=("d_total", "lqu")
         )
-        records = run_sweep(config)
+        records = list(run_sweep(config))
         path = tmp_path / "records.json"
         write_output(records, path, "json")
         loaded = [SweepRecord(**obj) for obj in json.loads(path.read_text())]
@@ -371,7 +373,7 @@ class TestQuantityTable:
     )
     def test_every_quantity_equals_the_per_point_reference(self, scenario, p, r, phi, convention):
         config = SweepConfig(scenario, p_values=(p,), r_values=(r,), phi=phi, convention=convention)
-        records = run_sweep(config)
+        records = list(run_sweep(config))
         assert sorted(rec.quantity for rec in records) == sorted(QUANTITIES)
         expected = _reference_values(scenario, p, r, phi, convention)
         assert {rec.quantity: rec.value for rec in records} == expected
@@ -382,7 +384,7 @@ class TestQuantityTable:
             raise AssertionError("joint table built for a closed-form quantity")
 
         monkeypatch.setattr(measures, "joint_distribution", no_joint_tables)
-        assert len(run_sweep(preset_config(name))) == 101 * len(preset_config(name).quantities)
+        assert len(list(run_sweep(preset_config(name)))) == 101 * len(preset_config(name).quantities)
 
     @pytest.mark.parametrize("convention", list(Convention))
     def test_every_steering_value_is_computed_once_per_point(self, convention, monkeypatch):
@@ -407,7 +409,7 @@ class TestQuantityTable:
         monkeypatch.setattr(sweep, "steering_report", no_report)
         quantities = ("d_total", "d_qubit", "d_qutrit", "lqu")
         config = SweepConfig(Scenario.BOTH, p_values=(0.1,), r_values=(0.0, 0.4), quantities=quantities)
-        assert len(run_sweep(config)) == 2 * len(quantities)
+        assert len(list(run_sweep(config))) == 2 * len(quantities)
 
 
 class TestChunkedSweep:
@@ -427,7 +429,7 @@ class TestChunkedSweep:
         r_values = tuple(float(r) for r in np.linspace(0.1, R_MAX, r_count))
         config = SweepConfig(Scenario.BOTH, p_values=p_values, r_values=r_values, phi=0.7,
                              convention=convention)
-        records = run_sweep(config)
+        records = list(run_sweep(config))
         assert len(records) == len(p_values) * r_count * len(QUANTITIES)
         expected = {
             (p, r): _reference_values(Scenario.BOTH, p, r, 0.7, convention)
@@ -462,7 +464,7 @@ class TestChunkedSweep:
         for module in (measures, sweep):
             monkeypatch.setattr(module, "lqu", per_state, raising=False)
             monkeypatch.setattr(module, "decoherence_triple", per_state, raising=False)
-        records = run_sweep(config)
+        records = list(run_sweep(config))
         assert len(records) == 6 * len(quantities)
         for rec in records:
             assert rec.value == expected[(rec.p, rec.r_q)][rec.quantity]
@@ -475,4 +477,67 @@ class TestChunkedSweep:
         monkeypatch.setattr(sweep, "decoherence_stack", no_stack)
         config = SweepConfig(Scenario.BOTH, p_values=(0.1,), r_values=(0.0, 0.3, 0.5, 0.7),
                              quantities=("steer_ab", "i_ba_closed", "s_ab_oracle"))
-        assert len(run_sweep(config)) == 4 * 3
+        assert len(list(run_sweep(config))) == 4 * 3
+
+
+class TestStreamedSweep:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_permuted_grids_write_the_bytes_of_ascending_ones(self, tmp_path, monkeypatch, fmt, workers):
+        monkeypatch.setattr(sweep, "CHUNK", 3)
+        ascending = SweepConfig(
+            Scenario.BOTH,
+            p_values=(0.0, 0.2, 0.45),
+            r_values=(0.0, 0.1, 0.4, 0.7),
+            quantities=("d_total", "lqu", "steer_ab"),
+            workers=workers,
+        )
+        permuted = replace(
+            ascending,
+            p_values=(0.45, -0.0, 0.2),
+            r_values=(0.4, 0.7, 0.0, 0.1),
+            quantities=("steer_ab", "d_total", "lqu"),
+        )
+        outputs = []
+        for name, config in (("ascending", ascending), ("permuted", permuted)):
+            path = tmp_path / f"{name}.{fmt}"
+            write_output(run_sweep(config), path, fmt)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_memory_of_a_written_sweep_does_not_grow_with_the_grid(self, tmp_path):
+        def peak_bytes(r_count):
+            r_values = tuple(float(r) for r in np.linspace(0.0, R_MAX, r_count))
+            config = SweepConfig(Scenario.BOTH, p_values=(0.1, 0.3), r_values=r_values,
+                                 quantities=("d_total",))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                write_output(run_sweep(config), tmp_path / "out.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(10)  # first-call caches
+        # Holding the records of the 3 600 extra points would take over 1 MB.
+        assert peak_bytes(2000) - peak_bytes(200) < 300_000
+
+    def test_non_finite_value_in_a_later_chunk_leaves_the_target_untouched(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "CHUNK", 2)
+        chunks = []
+
+        def nan_in_second_chunk(matrices):
+            chunks.append(len(matrices))
+            value = measures.lqu_stack(matrices).value
+            return SimpleNamespace(value=np.full_like(value, np.nan) if len(chunks) == 2 else value)
+
+        monkeypatch.setattr(sweep, "lqu_stack", nan_in_second_chunk)
+        path = tmp_path / "out.csv"
+        path.write_text("previous\n")
+        config = SweepConfig(Scenario.QUBIT, p_values=(0.1, 0.2, 0.3), r_values=(0.0, 0.5),
+                             quantities=("lqu",))
+        with pytest.raises(ValueError, match="non-finite"):
+            write_output(run_sweep(config), path)
+        assert chunks == [2, 2]
+        assert path.read_text() == "previous\n"
+        assert [entry.name for entry in tmp_path.iterdir()] == ["out.csv"]
