@@ -25,8 +25,6 @@ from .sweep import (
 )
 from .verify import run_verify
 
-_CONVENTIONS = {conv.value: conv for conv in Convention}
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument parser that reports usage problems as ConfigError (exit 1)."""
@@ -63,19 +61,9 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
     return tuple(float(r) for r in np.linspace(start, end, steps))
 
 
-_SWEEP_KEYS = ("scenario", "p", "r", "phi", "quantities", "convention", "format", "out", "workers")
-_SWEEP_DEFAULTS = {
-    "r": "0:0:1",
-    "phi": "0",
-    "quantities": ",".join(QUANTITIES),
-    "convention": Convention.AS_PRINTED.value,
-    "format": "csv",
-    "workers": "1",
-}
-
-
-def read_config_file(path: str) -> dict[str, str]:
-    """Flat key-value sweep configuration, one ``key = value`` per line.
+def read_config_file(path: str, keys: list[str]) -> dict[str, str]:
+    """Flat key-value sweep configuration, one ``key = value`` per line,
+    each key one of ``keys``.
 
     Blank lines and ``#`` comments are ignored; command-line flags
     override file values.
@@ -94,10 +82,32 @@ def read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _SWEEP_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; known: {', '.join(_SWEEP_KEYS)}")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; known: {', '.join(keys)}")
         settings[key] = value.strip()
     return settings
+
+
+def _add_output_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--format", default="csv", choices=["csv", "json"])
+    parser.add_argument("--out", required=required, help="output file path")
+    parser.add_argument("--workers", type=int, default=1, help="worker process count (default 1)")
+
+
+def _add_sweep_arguments(sweep: argparse.ArgumentParser, required: bool = True) -> None:
+    """Every sweep setting, declared once for its flag and its config-file entry."""
+    sweep.add_argument("--config", metavar="PATH",
+                       help="flat key-value config file; flags override its entries")
+    sweep.add_argument("--scenario", required=required, choices=[s.value for s in Scenario])
+    sweep.add_argument("--p", required=required, metavar="LIST", help="comma-separated mixing parameters")
+    sweep.add_argument("--r", default="0:0:1", metavar="START:END:STEPS",
+                       help=f"acceleration grid in [0, {R_MAX:.6f}] (default single point 0)")
+    sweep.add_argument("--phi", type=float, default=0.0, help="Unruh phase (default 0)")
+    sweep.add_argument("--quantities", default=",".join(QUANTITIES), metavar="LIST",
+                       help=f"comma-separated subset of: {', '.join(QUANTITIES)}")
+    sweep.add_argument("--convention", default=Convention.AS_PRINTED.value,
+                       choices=sorted(conv.value for conv in Convention))
+    _add_output_arguments(sweep, required)
 
 
 def build_parser() -> _Parser:
@@ -105,65 +115,49 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="evaluate quantities over a parameter grid")
-    sweep.add_argument("--config", metavar="PATH",
-                       help="flat key-value config file; flags override its entries")
-    sweep.add_argument("--scenario", choices=[s.value for s in Scenario])
-    sweep.add_argument("--p", metavar="LIST", help="comma-separated mixing parameters")
-    sweep.add_argument("--r", metavar="START:END:STEPS",
-                       help=f"acceleration grid in [0, {R_MAX:.6f}] (default single point 0)")
-    sweep.add_argument("--phi", help="Unruh phase (default 0)")
-    sweep.add_argument("--quantities", metavar="LIST",
-                       help=f"comma-separated subset of: {', '.join(QUANTITIES)}")
-    sweep.add_argument("--convention", choices=sorted(_CONVENTIONS))
-    sweep.add_argument("--format", choices=["csv", "json"])
-    sweep.add_argument("--out", help="output file path")
-    sweep.add_argument("--workers", help="worker process count (default 1)")
+    _add_sweep_arguments(sweep)
 
     preset = sub.add_parser("preset", help="run a stored figure preset")
     preset.add_argument("name", choices=list(PRESET_NAMES), metavar="NAME",
                         help=f"one of: {', '.join(PRESET_NAMES)}")
-    preset.add_argument("--format", default="csv", choices=["csv", "json"])
-    preset.add_argument("--out", required=True, help="output file path")
-    preset.add_argument("--workers", type=int, default=1)
+    _add_output_arguments(preset)
 
     sub.add_parser("verify", help="run the closed-form vs oracle verification suite")
     return parser
 
 
-def _run_sweep_command(args) -> int:
-    settings = dict(_SWEEP_DEFAULTS)
-    if args.config:
-        settings.update(read_config_file(args.config))
-    for key in _SWEEP_KEYS:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            settings[key] = str(flag_value)
-    for key in ("scenario", "p", "out"):
-        if key not in settings:
-            raise ConfigError(f"missing required setting --{key} (flag or config file)")
-    if settings["scenario"] not in {s.value for s in Scenario}:
-        raise ConfigError(f"unknown scenario {settings['scenario']!r}")
-    if settings["convention"] not in _CONVENTIONS:
-        raise ConfigError(f"unknown convention {settings['convention']!r}")
-    if settings["format"] not in ("csv", "json"):
-        raise ConfigError(f"unknown format {settings['format']!r}")
-    try:
-        phi = float(settings["phi"])
-        workers = int(settings["workers"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _with_config_entries(argv: list[str]) -> list[str]:
+    """A sweep's argv with its config file's entries, as ``--key=value``
+    tokens, put before the command-line arguments: the sweep parser checks
+    each entry as the flag of the same name, and a flag wins wherever it
+    appears.  The pre-scan declares the sweep's options, so it finds
+    ``--config`` under every spelling the sweep parser accepts, and its
+    setting names are the config file's keys.  Help is printed without
+    reading the file."""
+    if argv[:1] != ["sweep"]:
+        return argv
+    scan = _Parser(add_help=False)
+    scan.add_argument("-h", "--help", action="store_true")
+    _add_sweep_arguments(scan, required=False)
+    settings = vars(scan.parse_known_args(argv[1:])[0])
+    path, wants_help = settings.pop("config"), settings.pop("help")
+    if path is None or wants_help:
+        return argv
+    entries = [f"--{key}={value}" for key, value in read_config_file(path, list(settings)).items()]
+    return [argv[0], *entries, *argv[1:]]
 
-    quantities = tuple(q.strip() for q in settings["quantities"].split(",") if q.strip())
+
+def _run_sweep_command(args) -> int:
     config = SweepConfig(
-        scenario=Scenario(settings["scenario"]),
-        p_values=_parse_floats(settings["p"], "--p"),
-        r_values=_parse_r_grid(settings["r"]),
-        phi=phi,
-        quantities=quantities,
-        convention=_CONVENTIONS[settings["convention"]],
-        workers=workers,
+        scenario=Scenario(args.scenario),
+        p_values=_parse_floats(args.p, "--p"),
+        r_values=_parse_r_grid(args.r),
+        phi=args.phi,
+        quantities=tuple(q.strip() for q in args.quantities.split(",") if q.strip()),
+        convention=Convention(args.convention),
+        workers=args.workers,
     )
-    return _write_sweep(config, settings["out"], settings["format"])
+    return _write_sweep(config, args.out, args.format)
 
 
 def _run_preset_command(args) -> int:
@@ -187,9 +181,9 @@ def _run_verify_command() -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config_entries(argv))
         if args.command == "sweep":
             return _run_sweep_command(args)
         if args.command == "preset":

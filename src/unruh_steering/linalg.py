@@ -74,7 +74,7 @@ def psd_sqrt(m) -> np.ndarray:
     """
     a = as_matrix(m)
     defect = hermiticity_defect(a)
-    if defect > HERMITICITY_ATOL:
+    if not defect <= HERMITICITY_ATOL:  # a NaN anywhere makes the defect NaN
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_ATOL})")
     w, v = np.linalg.eigh(a)
     # Descending eigen-order: the summation order of the root, and so its

@@ -174,7 +174,7 @@ class JointDistribution:
             raise ValueError(f"negative probability {table.min():.3e}")
         table = np.clip(table, 0.0, None)
         total = table.sum()
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # a NaN cell makes the total NaN
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         table.setflags(write=False)
         object.__setattr__(self, "probs", table)
@@ -197,6 +197,8 @@ def linear_entropy(m):
     """1 - Tr(m^2) of a density matrix, clamped to [0, 1]; for an
     ``(N, d, d)`` stack, the ``(N,)`` array of its members' values."""
     a = np.asarray(m, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("density matrix has a non-finite element")
     trace_defect = np.abs(a.trace(axis1=-2, axis2=-1) - 1.0).max()
     if trace_defect > 1e-9:
         raise ValueError(f"trace deviates from 1 by {trace_defect:.3e}")

@@ -89,6 +89,8 @@ class ModelParams:
         for name, r in (("r_q", self.r_q), ("r_t", self.r_t)):
             if not 0.0 <= r <= R_MAX:
                 raise ValueError(f"acceleration parameter {name}={r} outside [0, pi/4]")
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi={self.phi} is not finite")
 
     @classmethod
     def for_scenario(cls, scenario: Scenario, p: float, r: float, phi: float = 0.0) -> "ModelParams":
@@ -118,7 +120,7 @@ class RegionIState:
         if trace_defect > 1e-12:
             raise ValueError(f"state trace deviates from 1 by {trace_defect:.3e}")
         herm = hermiticity_defect(m)
-        if herm > HERMITICITY_ATOL:
+        if not herm <= HERMITICITY_ATOL:  # a NaN anywhere makes the defect NaN
             raise ValueError(f"state is not Hermitian (defect {herm:.3e})")
         lowest = float(np.linalg.eigvalsh(m).min())
         if lowest < -1e-10:

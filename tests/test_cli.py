@@ -209,11 +209,56 @@ class TestConfigFile:
         assert flagged.exists()
         assert not (tmp_path / "ignored.csv").exists()
 
+    @pytest.mark.parametrize(
+        "entry", ["scenario = warp", "convention = x", "format = xml", "workers = two", "phi = abc"]
+    )
+    def test_bad_entry_is_config_error_naming_the_setting(self, tmp_path, capsys, entry):
+        out = tmp_path / "x.csv"
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"scenario = qubit\np = 0.1\nquantities = d_total\nout = {out}\n{entry}\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"--{entry.split()[0]}" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_flag_before_config_overrides(self, tmp_path):
+        flagged = tmp_path / "flagged.csv"
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            f"scenario = qubit\np = 0.3\nquantities = d_total\nout = {tmp_path / 'ignored.csv'}\n"
+        )
+        assert main(["sweep", "--out", str(flagged), "--config", str(config)]) == 0
+        assert flagged.exists()
+        assert not (tmp_path / "ignored.csv").exists()
+
+    @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]], ids=["equals", "prefix"])
+    def test_config_spellings_read_the_file(self, tmp_path, spelling):
+        out = tmp_path / "from_config.csv"
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"scenario = qubit\np = 0.3\nquantities = d_total\nout = {out}\n")
+        assert main(["sweep", *(arg.format(config) for arg in spelling)]) == 0
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_help_is_printed_without_reading_the_config(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--config", str(tmp_path / "none.cfg"), "--he"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: unruh-steering sweep")
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "sweep.cfg"
         config.write_text("acceleration = 3\n")
         assert main(["sweep", "--config", str(config)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_config_keys_are_the_sweep_flag_names(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text("# comment\n\nhelp = 1\n")
+        assert main(["sweep", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: {config}:3: unknown key 'help'; "
+            "known: scenario, p, r, phi, quantities, convention, format, out, workers\n"
+        )
 
     def test_malformed_line_rejected(self, tmp_path):
         config = tmp_path / "sweep.cfg"

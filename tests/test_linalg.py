@@ -109,3 +109,10 @@ class TestPsdSqrt:
     def test_non_hermitian_raises(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1), (1, 0)])
+    def test_nan_raises(self, cell):
+        m = np.eye(2, dtype=complex) / 2
+        m[cell] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            psd_sqrt(m)

@@ -84,6 +84,13 @@ class TestLinearEntropy:
         with pytest.raises(ValueError, match="trace"):
             linear_entropy(np.eye(2))
 
+    @pytest.mark.parametrize("cell", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_rejects_nan(self, cell):
+        m = np.eye(2, dtype=complex) / 2
+        m[cell] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            linear_entropy(m)
+
 
 class TestDecoherenceTriple:
     def test_pure_initial_state(self):
@@ -227,6 +234,10 @@ class TestJointDistribution:
             JointDistribution((1.0, -1.0), (1.0, -1.0), np.full((2, 2), 0.3))
         with pytest.raises(ValueError, match="negative"):
             JointDistribution((1.0, -1.0), (1.0, -1.0), np.array([[0.6, 0.5], [-0.1, 0.0]]))
+
+    def test_nan_cell_rejected(self):
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            JointDistribution((1.0, -1.0), (1.0, 0.0, -1.0), [[0.5, 0.5, 0.0], [0.0, 0.0, math.nan]])
 
 
 class TestConditionalEntropy:
@@ -535,6 +546,13 @@ class TestStackedKernels:
             assert str(got.value) == str(expected.value)
             reason = "not Hermitian" if defect == "not-hermitian" else "not positive semidefinite"
             assert reason in str(got.value)
+
+    @pytest.mark.parametrize("cell", [(1, 1), (0, 5)], ids=["diagonal", "off-diagonal"])
+    def test_nan_member_raises(self, cell):
+        matrices = np.stack([scenario_state(scenario, 0.2, 0.5).matrix for scenario in Scenario])
+        matrices[2][cell] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            measures.decoherence_stack(matrices)
 
     def test_member_with_a_trace_defect_raises_the_per_state_error(self):
         states = [scenario_state(scenario, 0.2, 0.5) for scenario in Scenario]

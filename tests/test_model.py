@@ -79,6 +79,12 @@ class TestModelParams:
         with pytest.raises(ValueError, match="outside"):
             ModelParams(p=0.1, **kwargs)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_non_finite_phi(self, scenario, phi):
+        with pytest.raises(ValueError, match="is not finite"):
+            ModelParams(p=0.1, r_q=0.4, r_t=0.4, phi=phi, scenario=scenario)
+
     def test_defaults(self):
         params = ModelParams(p=0.2)
         assert params.scenario is Scenario.NONE
@@ -179,6 +185,13 @@ class TestRegionIState:
     def test_rejects_non_hermitian(self):
         m = np.diag([1.0, 0, 0, 0, 0, 0, 0, 0]).astype(complex)
         m[0, 1] = 0.1
+        with pytest.raises(ValueError, match="Hermitian"):
+            RegionIState(m)
+
+    @pytest.mark.parametrize("cell", [(1, 1), (0, 5), (5, 0)])
+    def test_rejects_nan(self, cell):
+        m = initial_state(0.1).matrix.copy()
+        m[cell] = math.nan
         with pytest.raises(ValueError, match="Hermitian"):
             RegionIState(m)
 
