@@ -86,7 +86,7 @@ class Observable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def outcomes(self) -> tuple[float, ...]:
         return tuple(outcome for outcome, _ in self.spectrum)
 
@@ -172,7 +172,7 @@ class JointDistribution:
             raise ValueError(f"probability table shape {table.shape} does not match outcomes")
         if table.min() < -1e-12:
             raise ValueError(f"negative probability {table.min():.3e}")
-        table = np.clip(table, 0.0, None)
+        table = np.maximum(table, 0.0)
         total = table.sum()
         if not abs(total - 1.0) <= 1e-12:  # a NaN cell makes the total NaN
             raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -180,10 +180,14 @@ class JointDistribution:
         object.__setattr__(self, "probs", table)
 
 
-def _entropy_bits(probs) -> float:
-    p = np.asarray(probs, dtype=float).ravel()
-    p = p[p > PROB_EPS]
-    return float(-(p * np.log2(p)).sum())
+def _entropy_bits(probs: list[float]) -> float:
+    """Shannon entropy in bits of a flat list of probabilities; those at or
+    below PROB_EPS count as exact zeros."""
+    total = 0.0
+    for x in probs:
+        if x > PROB_EPS:
+            total -= x * math.log2(x)
+    return total
 
 
 def _xlog2(x: float, scale: float = 1.0) -> float:
@@ -307,10 +311,15 @@ def lqu(state: RegionIState) -> LquReport:
 
 @lru_cache(maxsize=32)
 def _product_projectors(obs_a: Observable, obs_b: Observable) -> np.ndarray:
-    """The (n_a * n_b, d, d) stack of P_a x P_b, outcome pairs in row-major order."""
-    stack = np.array([np.kron(pa, pb) for pa in obs_a.projectors for pb in obs_b.projectors])
-    stack.setflags(write=False)
-    return stack
+    """The (n_a * n_b, 64) functionals p(a, b) on a flattened labeled-order
+    state, outcome pairs in row-major order: each row is the transpose of
+    P_a x P_b with its rows and columns permuted into the labeled order, so
+    that Tr[rho (P_a x P_b)] is the row's dot product with the state."""
+    natural = [q * FACTOR_DIMS[1] + t for q, t in BASIS_8]  # the natural-order index of each labeled slot
+    slots = np.ix_(natural, natural)
+    rows = np.array([np.kron(pa, pb).T[slots].ravel() for pa in obs_a.projectors for pb in obs_b.projectors])
+    rows.setflags(write=False)
+    return rows
 
 
 def joint_distribution(state: RegionIState, obs_a: Observable, obs_b: Observable) -> JointDistribution:
@@ -320,15 +329,15 @@ def joint_distribution(state: RegionIState, obs_a: Observable, obs_b: Observable
         raise ValueError(
             f"observable dimensions ({obs_a.dim}, {obs_b.dim}) do not match state factors ({dq}, {dt})"
         )
-    probs = np.trace(state.tensor_matrix() @ _product_projectors(obs_a, obs_b), axis1=1, axis2=2).real
+    probs = (_product_projectors(obs_a, obs_b) @ state.matrix.ravel()).real
     table = probs.reshape(len(obs_a.spectrum), len(obs_b.spectrum))
     return JointDistribution(obs_a.outcomes, obs_b.outcomes, table)
 
 
 def conditional_entropy(joint: JointDistribution, direction: Direction = Direction.A_TO_B) -> float:
     """H(B|A) = H(joint) - H(A) in bits; H(A|B) for ``Direction.B_TO_A``."""
-    probs = joint.probs if direction is Direction.A_TO_B else joint.probs.T
-    return _entropy_bits(probs) - _entropy_bits(probs.sum(axis=1))
+    rows = (joint.probs if direction is Direction.A_TO_B else joint.probs.T).tolist()
+    return _entropy_bits([x for row in rows for x in row]) - _entropy_bits([sum(row) for row in rows])
 
 
 def steering_sum_oracle(state: RegionIState, direction: Direction) -> float:

@@ -15,6 +15,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 import numpy as np
@@ -233,9 +234,11 @@ def format_value(value: float) -> str:
 
 def _json_scalar(value) -> str:
     """``value`` as ``json.dumps`` renders it; finite floats (numpy ones
-    too) take the shortcut ``json`` itself takes."""
+    too) and strings take the shortcuts ``json`` itself takes."""
     if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     return json.dumps(value)
 
 

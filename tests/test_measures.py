@@ -433,6 +433,23 @@ def _joint_reference(state, obs_a, obs_b):
     return JointDistribution(obs_a.outcomes, obs_b.outcomes, table)
 
 
+def _entropy_reference(probs):
+    p = np.asarray(probs, dtype=float).ravel()
+    p = p[p > measures.PROB_EPS]
+    return float(-(p * np.log2(p)).sum())
+
+
+def _steering_sum_reference(state, direction):
+    """The measured sum from the kron-loop tables and numpy log2 entropies."""
+    total = 0.0
+    for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables("extended_qutrit")):
+        probs = _joint_reference(state, obs_a, obs_b).probs
+        if direction is Direction.B_TO_A:
+            probs = probs.T
+        total += _entropy_reference(probs) - _entropy_reference(probs.sum(axis=1))
+    return total
+
+
 def _lqu_reference(state):
     root = psd_sqrt(_reordered(state))
     eye_n = np.eye(4, dtype=complex)
@@ -482,11 +499,45 @@ class TestKernelBitIdentity:
             state = _qubit_rotated(state, *rotation)
         for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables("extended_qutrit")):
             got = joint_distribution(state, obs_a, obs_b)
-            assert np.array_equal(got.probs, _joint_reference(state, obs_a, obs_b).probs)
+            # one matvec sums the 64 products in another order than the trace
+            # of the kron loop, so the tables agree to rounding, not in bits
+            assert np.abs(got.probs - _joint_reference(state, obs_a, obs_b).probs).max() <= 1e-15
         got, expected = lqu(state), _lqu_reference(state)
         assert np.array_equal(got.xi, expected.xi)
         assert got.gammas == expected.gammas
         assert got.value == expected.value
+
+    def test_functional_rows_are_the_labeled_kron_entries(self):
+        idx = np.asarray(_NATURAL_OF_SLOT)
+        for obs_a in standard_observables("qubit"):
+            for obs_b in standard_observables("extended_qutrit"):
+                rows = measures._product_projectors(obs_a, obs_b)
+                expected = [
+                    np.kron(pa, pb)[np.ix_(idx, idx)].T.ravel() for pa in obs_a.projectors for pb in obs_b.projectors
+                ]
+                assert np.array_equal(rows, expected)
+
+
+class TestMeasuredSums:
+    angles = st.floats(0.0, 2 * math.pi)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        scenario=st.sampled_from(list(Scenario)),
+        p=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5),
+        r=st.floats(0.0, R_MAX),
+        phi=st.floats(-10.0, 10.0),
+        rotation=st.none() | st.tuples(angles, angles, angles),
+    )
+    def test_sums_equal_the_kron_loop_reference(self, scenario, p, r, phi, rotation):
+        state = scenario_state(scenario, p, r, phi)
+        if rotation is not None:
+            state = _qubit_rotated(state, *rotation)
+        for direction in Direction:
+            assert abs(steering_sum_oracle(state, direction) - _steering_sum_reference(state, direction)) <= 1e-12
+        three_dim = Observable("I_3", np.eye(3), ((1.0, np.eye(3)),))
+        with pytest.raises(ValueError, match="do not match"):
+            joint_distribution(state, standard_observables("qubit")[0], three_dim)
 
 
 def _unvalidated(matrix):

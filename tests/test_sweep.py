@@ -5,7 +5,7 @@ import math
 import os
 import stat
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,6 +273,16 @@ class TestWriteOutput:
         path = tmp_path / "records.json"
         write_output(records, path, "json")
         expected = json.dumps([dict(vars(r)) for r in records], indent=2) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_json_escapes_strings_as_json_dump(self, tmp_path):
+        records = [
+            SweepRecord('qu"bit', 0.1, 0.2, 0.0, 0.0, "d_total", 0.5),
+            SweepRecord("both\\", 0.1, 0.2, 0.2, 0.0, "l\u00e9qu\u2192\U0001d70c", 0.25),
+        ]
+        path = tmp_path / "records.json"
+        write_output(records, path, "json")
+        expected = json.dumps([asdict(r) for r in records], indent=2) + "\n"
         assert path.read_bytes() == expected.encode()
 
     def test_symlink_target_is_written_through(self, tmp_path):
