@@ -69,7 +69,7 @@ def read_config_file(path: str, keys: list[str]) -> dict[str, str]:
     override file values.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not part of the first key
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc

@@ -16,7 +16,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .linalg import psd_sqrt
-from .model import BASIS_8, FACTOR_DIMS, PAIR, RegionIState, reduce_qubit, reduce_qutrit, tensor_order
+from .model import (
+    BASIS_8, FACTOR_DIMS, PAIR, RegionIState, _labeled_order, reduce_qubit, reduce_qutrit, tensor_order,
+)
 
 PROB_EPS = 1e-15  # probabilities at or below this are treated as exact zeros
 
@@ -85,10 +87,6 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def outcomes(self) -> tuple[float, ...]:
-        return tuple(outcome for outcome, _ in self.spectrum)
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
@@ -160,16 +158,14 @@ def standard_observables(space: str) -> tuple[Observable, Observable, Observable
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Probability table over (outcome_A, outcome_B) pairs."""
+    """Probability table p(a, b): a row per outcome of A, a column per outcome of B."""
 
-    outcomes_a: tuple[float, ...]
-    outcomes_b: tuple[float, ...]
     probs: np.ndarray
 
     def __post_init__(self) -> None:
         table = np.array(self.probs, dtype=float)
-        if table.shape != (len(self.outcomes_a), len(self.outcomes_b)):
-            raise ValueError(f"probability table shape {table.shape} does not match outcomes")
+        if table.ndim != 2:
+            raise ValueError(f"probability table shape {table.shape} is not two-dimensional")
         if table.min() < -1e-12:
             raise ValueError(f"negative probability {table.min():.3e}")
         table = np.maximum(table, 0.0)
@@ -225,11 +221,10 @@ class DecoherenceReport:
 def decoherence_stack(matrices: np.ndarray) -> DecoherenceReport:
     """The decoherence triple of each state of a labeled-order ``(N, 8, 8)``
     stack of region-I state matrices, one ``(N,)`` array per field."""
-    tensors = tensor_order(matrices)
     return DecoherenceReport(
         d_total=linear_entropy(matrices),
-        d_qubit=linear_entropy(reduce_qubit(tensors)),
-        d_qutrit=linear_entropy(reduce_qutrit(tensors)),
+        d_qubit=linear_entropy(reduce_qubit(matrices)),
+        d_qutrit=linear_entropy(reduce_qutrit(matrices)),
     )
 
 
@@ -262,10 +257,10 @@ class LquReport:
 
 
 @lru_cache(maxsize=None)
-def _local_paulis(n: int) -> np.ndarray:
-    """The (3, 2n, 2n) stack of S_i x I_n over the qubit Paulis."""
-    eye_n = np.eye(n, dtype=complex)
-    stack = np.array([np.kron(sigma, eye_n) for sigma in _PAULI])
+def _local_paulis() -> np.ndarray:
+    """The natural-order (3, 8, 8) stack of S_i x I over the qubit Paulis."""
+    eye = np.eye(FACTOR_DIMS[1], dtype=complex)
+    stack = np.array([np.kron(sigma, eye) for sigma in _PAULI])
     stack.setflags(write=False)
     return stack
 
@@ -282,7 +277,7 @@ def lqu_stack(matrices: np.ndarray) -> LquReport:
     root = psd_sqrt(tensor_order(matrices))
     # Batched matmuls and traces give the bits of the per-entry loop; an
     # einsum contraction sums in another order and does not.
-    rotated = root[:, None] @ _local_paulis(FACTOR_DIMS[1])
+    rotated = root[:, None] @ _local_paulis()
     xi = np.trace(rotated[:, :, None] @ rotated[:, None], axis1=3, axis2=4).real
     xi_t = xi.swapaxes(1, 2)
     asymmetry = float(np.abs(xi - xi_t).max())
@@ -315,9 +310,8 @@ def _product_projectors(obs_a: Observable, obs_b: Observable) -> np.ndarray:
     state, outcome pairs in row-major order: each row is the transpose of
     P_a x P_b with its rows and columns permuted into the labeled order, so
     that Tr[rho (P_a x P_b)] is the row's dot product with the state."""
-    natural = [q * FACTOR_DIMS[1] + t for q, t in BASIS_8]  # the natural-order index of each labeled slot
-    slots = np.ix_(natural, natural)
-    rows = np.array([np.kron(pa, pb).T[slots].ravel() for pa in obs_a.projectors for pb in obs_b.projectors])
+    kron = [np.kron(pa, pb).T for pa in obs_a.projectors for pb in obs_b.projectors]
+    rows = _labeled_order(kron).reshape(len(kron), -1)
     rows.setflags(write=False)
     return rows
 
@@ -330,8 +324,7 @@ def joint_distribution(state: RegionIState, obs_a: Observable, obs_b: Observable
             f"observable dimensions ({obs_a.dim}, {obs_b.dim}) do not match state factors ({dq}, {dt})"
         )
     probs = (_product_projectors(obs_a, obs_b) @ state.matrix.ravel()).real
-    table = probs.reshape(len(obs_a.spectrum), len(obs_b.spectrum))
-    return JointDistribution(obs_a.outcomes, obs_b.outcomes, table)
+    return JointDistribution(probs.reshape(len(obs_a.spectrum), len(obs_b.spectrum)))
 
 
 def conditional_entropy(joint: JointDistribution, direction: Direction = Direction.A_TO_B) -> float:

@@ -10,9 +10,10 @@ the labeled order
 
 so that element (i, j) of the matrix corresponds directly to the labeled
 populations/coherences used by the closed-form channel element tables.
-This order differs from the natural qubit (x) extended-qutrit Kronecker
-order; :meth:`RegionIState.tensor_matrix` converts when tensor-structured
-operations (partial traces, local observables) are needed.
+Every public function takes and returns state matrices in this order,
+except :func:`tensor_order`, which converts them into the natural qubit (x)
+extended-qutrit Kronecker order for the functions that need the tensor
+structure (partial traces, local operators).
 
 Two independent routes produce the accelerated state:
 
@@ -29,11 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .linalg import HERMITICITY_ATOL, hermiticity_defect, partial_trace
+from .linalg import HERMITICITY_ATOL, PSD_EIGENVALUE_FLOOR, hermiticity_defect, partial_trace
 
 try:  # pragma: no cover - version shim
     from enum import StrEnum
@@ -45,6 +45,7 @@ except ImportError:  # Python < 3.11
 
 
 R_MAX = math.pi / 4
+TRACE_ATOL = 1e-12  # largest deviation of a state's trace from 1
 PAIR = 3  # extended-qutrit level index of the pair state
 
 BasisLabel = tuple[int, int]  # (qubit level, qutrit level); qutrit level PAIR is the pair state
@@ -53,9 +54,8 @@ BASIS_8: tuple[BasisLabel, ...] = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2
 FACTOR_DIMS = (2, 4)  # (qubit, extended qutrit) factors of the natural Kronecker order
 
 # labeled slot k of the 8-dim basis sits at row q*4 + t of the natural Kronecker order
-_NATURAL_OF_SLOT = tuple(q * 4 + t for q, t in BASIS_8)             # (0,1,2,4,5,6,3,7)
-_SLOT_OF_NATURAL = tuple(int(i) for i in np.argsort(_NATURAL_OF_SLOT))
-_SLOTS_IN_NATURAL_ORDER = np.array(_SLOT_OF_NATURAL)
+_NATURAL_OF_SLOT = np.array([q * 4 + t for q, t in BASIS_8])  # (0,1,2,4,5,6,3,7)
+_SLOT_OF_NATURAL = np.argsort(_NATURAL_OF_SLOT)
 
 
 class Scenario(StrEnum):
@@ -117,48 +117,25 @@ class RegionIState:
         if m.shape != (8, 8):
             raise ValueError(f"matrix shape {m.shape} does not match the 8-dim labeled basis")
         trace_defect = abs(m.trace() - 1.0)
-        if trace_defect > 1e-12:
+        if trace_defect > TRACE_ATOL:
             raise ValueError(f"state trace deviates from 1 by {trace_defect:.3e}")
         herm = hermiticity_defect(m)
         if not herm <= HERMITICITY_ATOL:  # a NaN anywhere makes the defect NaN
             raise ValueError(f"state is not Hermitian (defect {herm:.3e})")
         lowest = float(np.linalg.eigvalsh(m).min())
-        if lowest < -1e-10:
+        if lowest < PSD_EIGENVALUE_FLOOR:
             raise ValueError(f"state has negative eigenvalue {lowest:.3e}")
-
-    def tensor_matrix(self) -> np.ndarray:
-        """The state in natural row-major Kronecker order (2x4).
-
-        Read-only; reordered on the first call, and every call returns the
-        same array.
-        """
-        return self._tensor
-
-    @cached_property
-    def _tensor(self) -> np.ndarray:
-        tensor = tensor_order(self.matrix)
-        tensor.setflags(write=False)
-        return tensor
 
 
 def tensor_order(matrices: np.ndarray) -> np.ndarray:
     """Labeled-order matrices, one ``(8, 8)`` or a stack ``(N, 8, 8)``,
     reordered into the natural row-major Kronecker order (2x4)."""
-    rows = np.asarray(matrices).take(_SLOTS_IN_NATURAL_ORDER, axis=-2)
-    return rows.take(_SLOTS_IN_NATURAL_ORDER, axis=-1)
+    return np.asarray(matrices).take(_SLOT_OF_NATURAL, axis=-2).take(_SLOT_OF_NATURAL, axis=-1)
 
 
-def initial_state(p: float) -> RegionIState:
-    """Inertial qubit-qutrit state of the one-parameter family.
-
-    Populations p/2 on |00>, |01>, |11>, |12> and (1-2p)/2 on |02>, |10>,
-    with coherences p/2 between |00> and |12> and (1-2p)/2 between |02>
-    and |10>; the pair levels are empty.  p = 0 gives the pure state
-    (|02> + |10>)/sqrt(2).
-    """
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"mixing parameter p={p} outside [0, 0.5]")
-    return RegionIState(_inertial_matrix(p))
+def _labeled_order(matrices: np.ndarray) -> np.ndarray:
+    """Natural-order matrices reordered into the labeled order: the inverse of :func:`tensor_order`."""
+    return np.asarray(matrices).take(_NATURAL_OF_SLOT, axis=-2).take(_NATURAL_OF_SLOT, axis=-1)
 
 
 def _inertial_elements(p: float):
@@ -169,11 +146,6 @@ def _inertial_elements(p: float):
     diag = [hp, hp, hr, hr, hp, hp, 0.0, 0.0]
     upper = {(0, 5): hp, (2, 3): hr}
     return diag, upper
-
-
-def _inertial_matrix(p: float) -> np.ndarray:
-    """The labeled-order matrix of :func:`initial_state`, unvalidated."""
-    return _labeled_matrix(*_inertial_elements(p))
 
 
 def _labeled_matrix(diag, upper) -> np.ndarray:
@@ -247,6 +219,17 @@ def accelerate_closed(params: ModelParams) -> RegionIState:
     return RegionIState(_labeled_matrix(diag, upper))
 
 
+def initial_state(p: float) -> RegionIState:
+    """Inertial state of the one-parameter family: :func:`accelerate_closed` under scenario ``none``.
+
+    Populations p/2 on |00>, |01>, |11>, |12> and (1-2p)/2 on |02>, |10>,
+    with coherences p/2 between |00> and |12> and (1-2p)/2 between |02>
+    and |10>; the pair levels are empty.  p = 0 gives the pure state
+    (|02> + |10>)/sqrt(2).
+    """
+    return accelerate_closed(ModelParams(p=p))
+
+
 def as_printed_both_matrix(params: ModelParams) -> np.ndarray:
     """Verbatim printed element table for the doubly accelerated state: the
     qubit channel fed the |11> qutrit-channel population in place of the
@@ -313,24 +296,19 @@ def accelerate_oracle(params: ModelParams) -> RegionIState:
     iso = np.kron(v_q, v_t)
     iso = iso.reshape(dq1, dq2, dt1, dt2, 6).transpose(0, 2, 1, 3, 4).reshape(-1, 6)
 
-    rho6 = _inertial_matrix(params.p)[:6, :6]
+    rho6 = _labeled_matrix(*_inertial_elements(params.p))[:6, :6]
     big = iso @ rho6 @ iso.conj().T
     region1 = partial_trace(big, (dq1, dt1, dq2, dt2), keep=(0, 1))
-    idx = np.asarray(_NATURAL_OF_SLOT)
-    return RegionIState(region1[np.ix_(idx, idx)])
+    return RegionIState(_labeled_order(region1))
 
 
-def _natural(states) -> np.ndarray:
-    return states.tensor_matrix() if isinstance(states, RegionIState) else states
+def reduce_qubit(matrices) -> np.ndarray:
+    """Qubit marginal (2x2) of a labeled-order region-I state matrix; the
+    ``(N, 2, 2)`` marginals of an ``(N, 8, 8)`` stack."""
+    return partial_trace(tensor_order(matrices), FACTOR_DIMS, keep=(0,))
 
 
-def reduce_qubit(states) -> np.ndarray:
-    """Qubit marginal (2x2) of a region-I state; the ``(N, 2, 2)``
-    marginals of an ``(N, 8, 8)`` stack of natural-order state matrices."""
-    return partial_trace(_natural(states), FACTOR_DIMS, keep=(0,))
-
-
-def reduce_qutrit(states) -> np.ndarray:
-    """Extended-qutrit marginal (4x4, pair level last) of a region-I state;
-    the ``(N, 4, 4)`` marginals of an ``(N, 8, 8)`` natural-order stack."""
-    return partial_trace(_natural(states), FACTOR_DIMS, keep=(1,))
+def reduce_qutrit(matrices) -> np.ndarray:
+    """Extended-qutrit marginal (4x4, pair level last) of a labeled-order
+    region-I state matrix; the ``(N, 4, 4)`` marginals of an ``(N, 8, 8)`` stack."""
+    return partial_trace(tensor_order(matrices), FACTOR_DIMS, keep=(1,))

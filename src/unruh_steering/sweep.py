@@ -7,12 +7,12 @@ byte-identical regardless of the worker count and no record list is held.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -81,8 +81,6 @@ _QUANTITY_TABLE = {
 QUANTITIES = tuple(_QUANTITY_TABLE)
 
 CSV_HEADER = "scenario,p,r_q,r_t,phi,quantity,value"
-
-DEFAULT_R_STEPS = 101
 
 GRID_POINTS_MAX = 100_000  # largest (p, r) grid one sweep evaluates; bounds work, not memory
 
@@ -187,7 +185,9 @@ def _pool_size(workers: int, tasks: int) -> int:
 class Sweep:
     """A validated sweep's records, sized from the config and evaluated anew
     on each iteration: ascending p, r and quantity name, chunk by chunk.  A
-    chunk that holds a non-finite value raises before any of it is yielded."""
+    chunk that holds a non-finite value raises before any of it is yielded.
+    A pool keeps at most two chunks per worker submitted and not yet
+    yielded, so finished chunks cannot pile up ahead of a slow reader."""
 
     def __init__(self, config: SweepConfig):
         config.validate()
@@ -208,9 +208,16 @@ class Sweep:
         workers = _pool_size(config.workers, math.ceil(len(config.p_values) * len(config.r_values) / CHUNK))
         if workers == 1:
             yield from itertools.chain.from_iterable(map(_evaluate_chunk, tasks))
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from itertools.chain.from_iterable(pool.map(_evaluate_chunk, tasks))
+            return
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            window = collections.deque()
+            for task in tasks:
+                if len(window) == 2 * workers:
+                    yield from window.popleft().result()
+                window.append(pool.submit(_evaluate_chunk, task))
+            while window:
+                yield from window.popleft().result()
 
 
 def run_sweep(config: SweepConfig) -> Sweep:
@@ -282,12 +289,8 @@ def write_output(records, path, fmt: str = "csv") -> None:
             os.unlink(tmp)
 
 
-def _r_grid(steps: int = DEFAULT_R_STEPS) -> tuple[float, ...]:
-    return tuple(float(r) for r in np.linspace(0.0, R_MAX, steps))
-
-
 def _preset_table() -> dict[str, SweepConfig]:
-    r_grid = _r_grid()
+    r_grid = tuple(float(r) for r in np.linspace(0.0, R_MAX, 101))
     p_grid = tuple(float(p) for p in np.linspace(0.0, 0.5, 101))
     decoherence = ("d_total", "d_qubit", "d_qutrit")
     steer = ("steer_ab", "steer_ba", "steer_diff")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import HERMITICITY_ATOL, PSD_EIGENVALUE_FLOOR
 from .measures import Convention, joint_distribution, lqu, standard_observables
 from .model import (
     FACTOR_DIMS,
@@ -24,6 +25,7 @@ from .model import (
     R_MAX,
     RegionIState,
     Scenario,
+    TRACE_ATOL,
     accelerate_closed,
     accelerate_oracle,
     as_printed_both_matrix,
@@ -286,10 +288,12 @@ def run_verify() -> VerificationReport:
         ))
     report.checks += [
         _check_as_printed(),
-        CheckResult("physicality[trace]", worst["trace"] < 1e-12, worst["trace"]),
-        CheckResult("physicality[hermiticity]", worst["hermiticity"] < 1e-12, worst["hermiticity"]),
+        CheckResult("physicality[trace]", worst["trace"] < TRACE_ATOL, worst["trace"]),
         CheckResult(
-            "physicality[eigenvalue-floor]", worst["eigenvalue"] < 1e-10, worst["eigenvalue"],
+            "physicality[hermiticity]", worst["hermiticity"] < HERMITICITY_ATOL, worst["hermiticity"]
+        ),
+        CheckResult(
+            "physicality[eigenvalue-floor]", worst["eigenvalue"] < -PSD_EIGENVALUE_FLOOR, worst["eigenvalue"],
             "magnitude of most negative eigenvalue",
         ),
         CheckResult("r_zero_reduction", worst["r_zero"] < 1e-14, worst["r_zero"]),

@@ -166,7 +166,7 @@ def test_criterion_5_decoherence_anchors():
             abs(linear_entropy(state.matrix) - closed_form),
             abs(brute_force - closed_form),
         )
-        worst_qubit = max(worst_qubit, abs(linear_entropy(reduce_qubit(state)) - 0.5))
+        worst_qubit = max(worst_qubit, abs(linear_entropy(reduce_qubit(state.matrix)) - 0.5))
     pure_defect = 1.0 - float(
         np.trace(np.asarray(initial_state(0.0).matrix) @ np.asarray(initial_state(0.0).matrix)).real
     )

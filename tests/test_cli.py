@@ -268,6 +268,16 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "none.cfg")]) == 1
 
+    def test_byte_order_mark_does_not_change_the_sweep(self, tmp_path):
+        outputs = []
+        for name, bom in (("plain", ""), ("bom", "\ufeff")):
+            config, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            text = f"{bom}scenario = qubit\np = 0.3\nquantities = d_total\nout = {out}\n"
+            config.write_text(text, encoding="utf-8")
+            assert main(["sweep", "--config", str(config)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         config = tmp_path / "sweep.cfg"

@@ -6,7 +6,7 @@ from unruh_steering.linalg import (
     partial_trace,
     psd_sqrt,
 )
-from unruh_steering.model import initial_state
+from unruh_steering.model import initial_state, tensor_order
 
 
 def random_hermitian(rng, dim):
@@ -27,13 +27,13 @@ def random_density(rng, dim):
 class TestPartialTrace:
     def test_qutrit_marginal_of_initial_state(self):
         for p in np.linspace(0.0, 0.5, 6):
-            rho = initial_state(float(p)).tensor_matrix()
+            rho = tensor_order(initial_state(float(p)).matrix)
             qubit = partial_trace(rho, (2, 4), keep=(0,))
             assert np.allclose(qubit, np.eye(2) / 2, atol=1e-14)
 
     def test_qubit_marginal_of_initial_state(self):
         p = 0.3
-        qutrit = partial_trace(initial_state(p).tensor_matrix(), (2, 4), keep=(1,))
+        qutrit = partial_trace(tensor_order(initial_state(p).matrix), (2, 4), keep=(1,))
         assert np.allclose(qutrit, np.diag([(1 - p) / 2, p, (1 - p) / 2, 0.0]), atol=1e-14)
 
     def test_product_state_factorization(self):

@@ -31,8 +31,7 @@ from unruh_steering.model import (
     R_MAX,
     RegionIState,
     Scenario,
-    _NATURAL_OF_SLOT,
-    _SLOT_OF_NATURAL,
+    _labeled_order,
     accelerate_closed,
     initial_state,
     tensor_order,
@@ -141,25 +140,24 @@ class TestLqu:
         h = (h + h.conj().T) / 2
         w, v = np.linalg.eigh(h)
         u = v @ np.diag(np.exp(1j * w)) @ v.conj().T
-        rotated = np.kron(np.eye(2), u) @ state.tensor_matrix() @ np.kron(np.eye(2), u).conj().T
+        rotated = np.kron(np.eye(2), u) @ tensor_order(state.matrix) @ np.kron(np.eye(2), u).conj().T
         base = lqu(state).value
         # rotate in the natural order, then undo the label permutation for construction
-        idx = np.asarray(_NATURAL_OF_SLOT)
-        rotated_state = RegionIState(rotated[np.ix_(idx, idx)])
+        rotated_state = RegionIState(_labeled_order(rotated))
         assert lqu(rotated_state).value == pytest.approx(base, abs=1e-10)
 
 
 class TestStandardObservables:
     def test_qubit_x_eigenvectors(self):
         sx = standard_observables("qubit")[0]
-        assert sx.outcomes == (1.0, -1.0)
+        assert [outcome for outcome, _ in sx.spectrum] == [1.0, -1.0]
         plus = np.array([1, 1]) / np.sqrt(2)
         assert np.allclose(sx.projectors[0] @ plus, plus, atol=1e-14)
         assert np.allclose(sx.matrix @ plus, plus, atol=1e-14)
 
     def test_qutrit_x_spectrum(self):
         sx = standard_observables("qutrit")[0]
-        assert sx.outcomes == (1.0, 0.0, -1.0)
+        assert [outcome for outcome, _ in sx.spectrum] == [1.0, 0.0, -1.0]
         w_plus = np.array([0, 1, 1j]) / np.sqrt(2)
         assert np.allclose(sx.matrix @ w_plus, w_plus, atol=1e-14)
         zero_vec = np.array([1, 0, 0], dtype=complex)
@@ -216,7 +214,7 @@ class TestJointDistribution:
             for obs_a, obs_b in zip(standard_observables("qubit"), standard_observables("extended_qutrit")):
                 joint = joint_distribution(state, obs_a, obs_b)
                 assert joint.probs.sum() == pytest.approx(1.0, abs=1e-12)
-                rho = state.tensor_matrix()
+                rho = tensor_order(state.matrix)
                 eye_b = np.eye(obs_b.dim)
                 for i, pa in enumerate(obs_a.projectors):
                     independent = np.trace(rho @ np.kron(pa, eye_b)).real
@@ -231,13 +229,15 @@ class TestJointDistribution:
 
     def test_distribution_invariants(self):
         with pytest.raises(ValueError, match="sum"):
-            JointDistribution((1.0, -1.0), (1.0, -1.0), np.full((2, 2), 0.3))
+            JointDistribution(np.full((2, 2), 0.3))
         with pytest.raises(ValueError, match="negative"):
-            JointDistribution((1.0, -1.0), (1.0, -1.0), np.array([[0.6, 0.5], [-0.1, 0.0]]))
+            JointDistribution(np.array([[0.6, 0.5], [-0.1, 0.0]]))
+        with pytest.raises(ValueError, match="two-dimensional"):
+            JointDistribution([0.5, 0.5])
 
     def test_nan_cell_rejected(self):
         with pytest.raises(ValueError, match="probabilities sum to"):
-            JointDistribution((1.0, -1.0), (1.0, 0.0, -1.0), [[0.5, 0.5, 0.0], [0.0, 0.0, math.nan]])
+            JointDistribution([[0.5, 0.5, 0.0], [0.0, 0.0, math.nan]])
 
 
 class TestConditionalEntropy:
@@ -249,16 +249,16 @@ class TestConditionalEntropy:
         assert conditional_entropy(joint) == pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_correlation_is_zero(self):
-        joint = JointDistribution((1.0, -1.0), (1.0, -1.0), np.diag([0.5, 0.5]))
+        joint = JointDistribution(np.diag([0.5, 0.5]))
         assert conditional_entropy(joint) == pytest.approx(0.0, abs=1e-15)
 
     def test_independent_uniform_is_one_bit(self):
-        joint = JointDistribution((1.0, -1.0), (1.0, -1.0), np.full((2, 2), 0.25))
+        joint = JointDistribution(np.full((2, 2), 0.25))
         assert conditional_entropy(joint) == pytest.approx(1.0, abs=1e-15)
 
     def test_b_to_a_conditions_on_b(self):
         # A is a deterministic function of B, not the other way round
-        joint = JointDistribution((1.0, -1.0), (1.0, 0.0, -1.0), [[0.25, 0.25, 0.0], [0.0, 0.0, 0.5]])
+        joint = JointDistribution([[0.25, 0.25, 0.0], [0.0, 0.0, 0.5]])
         assert conditional_entropy(joint, Direction.A_TO_B) == pytest.approx(0.5, abs=1e-15)
         assert conditional_entropy(joint, Direction.B_TO_A) == pytest.approx(0.0, abs=1e-15)
 
@@ -419,18 +419,13 @@ class TestSteeringReport:
 # read precomputed operator stacks; kept as references for the bits.
 
 
-def _reordered(state):
-    idx = np.asarray(_SLOT_OF_NATURAL)
-    return state.matrix[np.ix_(idx, idx)]
-
-
 def _joint_reference(state, obs_a, obs_b):
-    rho = _reordered(state)
+    rho = tensor_order(state.matrix)
     table = np.empty((len(obs_a.spectrum), len(obs_b.spectrum)), dtype=float)
     for i, (_, pa) in enumerate(obs_a.spectrum):
         for j, (_, pb) in enumerate(obs_b.spectrum):
             table[i, j] = np.trace(rho @ np.kron(pa, pb)).real
-    return JointDistribution(obs_a.outcomes, obs_b.outcomes, table)
+    return JointDistribution(table)
 
 
 def _entropy_reference(probs):
@@ -451,7 +446,7 @@ def _steering_sum_reference(state, direction):
 
 
 def _lqu_reference(state):
-    root = psd_sqrt(_reordered(state))
+    root = psd_sqrt(tensor_order(state.matrix))
     eye_n = np.eye(4, dtype=complex)
     paulis = (
         np.array([[0, 1], [1, 0]], dtype=complex),
@@ -477,9 +472,7 @@ def _qubit_rotated(state, theta, alpha, beta):
         [[c, -np.exp(1j * beta) * s], [np.exp(1j * alpha) * s, np.exp(1j * (alpha + beta)) * c]]
     )
     local = np.kron(u, np.eye(4))
-    rotated = local @ state.tensor_matrix() @ local.conj().T
-    idx = np.asarray(_NATURAL_OF_SLOT)
-    return RegionIState(rotated[np.ix_(idx, idx)])
+    return RegionIState(_labeled_order(local @ tensor_order(state.matrix) @ local.conj().T))
 
 
 class TestKernelBitIdentity:
@@ -508,13 +501,11 @@ class TestKernelBitIdentity:
         assert got.value == expected.value
 
     def test_functional_rows_are_the_labeled_kron_entries(self):
-        idx = np.asarray(_NATURAL_OF_SLOT)
         for obs_a in standard_observables("qubit"):
             for obs_b in standard_observables("extended_qutrit"):
                 rows = measures._product_projectors(obs_a, obs_b)
-                expected = [
-                    np.kron(pa, pb)[np.ix_(idx, idx)].T.ravel() for pa in obs_a.projectors for pb in obs_b.projectors
-                ]
+                kron = [np.kron(pa, pb) for pa in obs_a.projectors for pb in obs_b.projectors]
+                expected = [_labeled_order(product).T.ravel() for product in kron]
                 assert np.array_equal(rows, expected)
 
 

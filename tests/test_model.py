@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unruh_steering.model import (
     BASIS_8,
@@ -14,12 +15,14 @@ from unruh_steering.model import (
     R_MAX,
     RegionIState,
     Scenario,
+    _labeled_order,
     accelerate_closed,
     accelerate_oracle,
     as_printed_both_matrix,
     initial_state,
     reduce_qubit,
     reduce_qutrit,
+    tensor_order,
 )
 
 GRID_P = (0.0, 0.1, 0.25, 0.4, 0.5)
@@ -149,28 +152,18 @@ class TestRegionIState:
     def test_tensor_matrix_matches_labeled_entries(self):
         params = ModelParams(p=0.2, r_t=0.5, scenario=Scenario.QUTRIT)
         state = accelerate_closed(params)
-        nat = state.tensor_matrix()
+        nat = tensor_order(state.matrix)
         # |1 pair><0 1| sits at natural (1*4+3, 0*4+1)
         assert nat[7, 1] == pytest.approx(state.matrix[BASIS_8.index((1, PAIR)), BASIS_8.index((0, 1))])
         # |0 2><1 0| sits at natural (2, 4)
         assert nat[2, 4] == pytest.approx(state.matrix[BASIS_8.index((0, 2)), BASIS_8.index((1, 0))])
         assert nat.trace() == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.parametrize(
-        "make_state",
-        [
-            lambda: initial_state(0.2),
-            lambda: accelerate_closed(ModelParams(p=0.2, r_t=0.5, scenario=Scenario.QUTRIT)),
-        ],
-        ids=["inertial", "accelerated"],
-    )
-    def test_tensor_matrix_is_read_only_and_built_once(self, make_state):
-        state = make_state()
-        nat = state.tensor_matrix()
-        assert nat is state.tensor_matrix()
-        assert not nat.flags.writeable
-        with pytest.raises(ValueError):
-            nat[0, 0] = 1.0
+    @settings(max_examples=25, deadline=None)
+    @given(matrices=arrays(complex, st.integers(1, 4).map(lambda n: (n, 8, 8)),
+                           elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+    def test_labeled_order_inverts_tensor_order(self, matrices):
+        assert np.array_equal(_labeled_order(tensor_order(matrices)), matrices)
 
     def test_inertial_state_has_empty_pair_levels(self):
         m = initial_state(0.3).matrix
@@ -325,20 +318,21 @@ class TestAsPrintedBoth:
 class TestReductions:
     def test_initial_qubit_marginal_is_maximally_mixed(self):
         for p in GRID_P:
-            assert np.allclose(reduce_qubit(initial_state(p)), np.eye(2) / 2, atol=1e-14)
+            assert np.allclose(reduce_qubit(initial_state(p).matrix), np.eye(2) / 2, atol=1e-14)
 
     def test_initial_qutrit_marginal(self):
         p = 0.2
         expected = np.diag([(1 - p) / 2, p, (1 - p) / 2, 0.0])
-        assert np.allclose(reduce_qutrit(initial_state(p)), expected, atol=1e-14)
-        assert np.allclose(reduce_qutrit(initial_state(0.0)), np.diag([0.5, 0.0, 0.5, 0.0]), atol=1e-14)
+        assert np.allclose(reduce_qutrit(initial_state(p).matrix), expected, atol=1e-14)
+        pure = reduce_qutrit(initial_state(0.0).matrix)
+        assert np.allclose(pure, np.diag([0.5, 0.0, 0.5, 0.0]), atol=1e-14)
 
     def test_accelerated_qubit_marginal(self):
         state = accelerate_closed(ModelParams(p=0.0, r_q=R_MAX, scenario=Scenario.QUBIT))
-        assert np.allclose(reduce_qubit(state), np.diag([0.25, 0.75]), atol=1e-14)
+        assert np.allclose(reduce_qubit(state.matrix), np.diag([0.25, 0.75]), atol=1e-14)
 
     def test_marginals_have_unit_trace(self):
         state = accelerate_closed(ModelParams(p=0.3, r_q=0.4, r_t=0.2, scenario=Scenario.BOTH))
-        assert reduce_qubit(state).trace() == pytest.approx(1.0, abs=1e-13)
-        assert reduce_qutrit(state).trace() == pytest.approx(1.0, abs=1e-13)
-        assert reduce_qutrit(state).shape == (4, 4)
+        assert reduce_qubit(state.matrix).trace() == pytest.approx(1.0, abs=1e-13)
+        assert reduce_qutrit(state.matrix).trace() == pytest.approx(1.0, abs=1e-13)
+        assert reduce_qutrit(state.matrix).shape == (4, 4)

@@ -1,9 +1,12 @@
 import collections
+import concurrent.futures
 import gc
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, replace
 from types import SimpleNamespace
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import unruh_steering
 from unruh_steering import measures, sweep
 from unruh_steering.cli import main
 from unruh_steering.measures import Convention, decoherence_triple, lqu, steering_report
@@ -166,9 +170,17 @@ class TestRunSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         config = SweepConfig(Scenario.QUBIT, p_values=(0.1,), quantities=("d_total",), workers=10**6)
         assert len(list(run_sweep(config))) == 1
+
+    def test_importing_the_package_imports_no_pool(self):
+        code = ("import sys, unruh_steering, unruh_steering.cli; "
+                "print([name for name in ('concurrent.futures', 'multiprocessing') if name in sys.modules])")
+        src = os.path.dirname(os.path.dirname(unruh_steering.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
     def test_scenario_maps_r_to_the_accelerated_subsystem(self):
         config = SweepConfig(Scenario.QUTRIT, p_values=(0.1,), r_values=(0.4,), quantities=("d_total",))
@@ -515,11 +527,12 @@ class TestStreamedSweep:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_memory_of_a_written_sweep_does_not_grow_with_the_grid(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_of_a_written_sweep_does_not_grow_with_the_grid(self, tmp_path, workers):
         def peak_bytes(r_count):
             r_values = tuple(float(r) for r in np.linspace(0.0, R_MAX, r_count))
             config = SweepConfig(Scenario.BOTH, p_values=(0.1, 0.3), r_values=r_values,
-                                 quantities=("d_total",))
+                                 quantities=("d_total",), workers=workers)
             gc.collect()
             tracemalloc.start()
             try:
@@ -528,7 +541,7 @@ class TestStreamedSweep:
             finally:
                 tracemalloc.stop()
 
-        peak_bytes(10)  # first-call caches
+        peak_bytes(40)  # first-call caches; two chunks, so a pool's first start too
         # Holding the records of the 3 600 extra points would take over 1 MB.
         assert peak_bytes(2000) - peak_bytes(200) < 300_000
 
