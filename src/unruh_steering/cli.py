@@ -53,11 +53,11 @@ def _parse_r_grid(text: str) -> tuple[float, ...]:
         steps = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--r: {exc}") from exc
-    # Checked before the grid is allocated; the (p, r) grid cap bounds the steps too.
+    # Checked before the grid is built; the (p, r) grid cap bounds the steps too.
     if not 1 <= steps <= GRID_POINTS_MAX:
         raise ConfigError(f"--r: steps must be in [1, {GRID_POINTS_MAX}], got {steps}")
-    if steps == 1:
-        return (start,)
+    if not np.isfinite(end - start):  # a non-finite endpoint, or a span past the float range
+        raise ConfigError(f"--r: start and end must be finite and span a finite range, got {text!r}")
     return tuple(float(r) for r in np.linspace(start, end, steps))
 
 
@@ -166,10 +166,10 @@ def _run_preset_command(args) -> int:
 
 
 def _write_sweep(config: SweepConfig, out: str, fmt: str, prefix: str = "") -> int:
-    """Stream a sweep's records into ``out`` and print how many were written."""
-    records = run_sweep(config)
-    write_output(records, out, fmt)
-    print(f"{prefix}wrote {len(records)} records to {out}")
+    """Stream a sweep into ``out`` and print how many records were written."""
+    sweep = run_sweep(config)
+    write_output(sweep, out, fmt)
+    print(f"{prefix}wrote {len(sweep)} records to {out}")
     return 0
 
 

@@ -21,6 +21,8 @@ from .model import (
 )
 
 PROB_EPS = 1e-15  # probabilities at or below this are treated as exact zeros
+PROB_ATOL = 1e-12  # largest negative cell and normalization defect of a joint table
+LQU_ATOL = 1e-10  # largest Xi asymmetry, and overshoot of its top eigenvalue past 1
 
 
 class Direction(Enum):
@@ -166,11 +168,11 @@ class JointDistribution:
         table = np.array(self.probs, dtype=float)
         if table.ndim != 2:
             raise ValueError(f"probability table shape {table.shape} is not two-dimensional")
-        if table.min() < -1e-12:
+        if table.min() < -PROB_ATOL:
             raise ValueError(f"negative probability {table.min():.3e}")
         table = np.maximum(table, 0.0)
         total = table.sum()
-        if not abs(total - 1.0) <= 1e-12:  # a NaN cell makes the total NaN
+        if not abs(total - 1.0) <= PROB_ATOL:  # a NaN cell makes the total NaN
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         table.setflags(write=False)
         object.__setattr__(self, "probs", table)
@@ -281,13 +283,13 @@ def lqu_stack(matrices: np.ndarray) -> LquReport:
     xi = np.trace(rotated[:, :, None] @ rotated[:, None], axis1=3, axis2=4).real
     xi_t = xi.swapaxes(1, 2)
     asymmetry = float(np.abs(xi - xi_t).max())
-    if asymmetry > 1e-10:
+    if asymmetry > LQU_ATOL:
         raise ValueError(f"correlation matrix asymmetry {asymmetry:.3e} exceeds tolerance")
     xi = (xi + xi_t) / 2
     gammas = np.linalg.eigvalsh(xi)[:, ::-1]
     value = 1.0 - gammas[:, 0]
     worst = int(value.argmin())
-    if value[worst] < -1e-10:
+    if value[worst] < -LQU_ATOL:
         raise ValueError(f"largest eigenvalue {gammas[worst, 0]!r} exceeds 1 beyond tolerance")
     # fmax picks as Python's max(0, v) does for every value 1 - gamma can take
     return LquReport(xi=xi, gammas=gammas, value=np.fmax(value, 0.0))

@@ -1,7 +1,7 @@
 """Parameter sweeps over (scenario, p, r, phi) grids with flat-file output.
 
 Grids are evaluated chunk by chunk in key order (ascending p, r, quantity)
-and each chunk's records are yielded as they come, so output files are
+and each chunk is handed on as columns as it comes, so output files are
 byte-identical regardless of the worker count and no record list is held.
 """
 
@@ -10,13 +10,10 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 import numpy as np
 
@@ -102,12 +99,6 @@ class SweepRecord:
     value: float
 
 
-_RECORD_FIELDS = tuple(field.name for field in fields(SweepRecord))
-_record_values = attrgetter(*_RECORD_FIELDS)
-# One record as ``json.dump(..., indent=2)`` lays out an element of the top-level list.
-_JSON_RECORD = "  {{\n" + ",\n".join(f'    "{name}": {{}}' for name in _RECORD_FIELDS) + "\n  }}"
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """A sweep: scenario, grids, quantities and output settings.
@@ -160,21 +151,17 @@ class SweepConfig:
             raise ConfigError(f"workers must be positive, got {self.workers}")
 
 
-def _evaluate_chunk(task) -> list[SweepRecord]:
-    scenario_value, points, phi, quantities, convention_value = task
-    scenario = Scenario(scenario_value)
+def _evaluate_chunk(task) -> tuple[list[tuple[float, float, float]], list[list[float]]]:
+    scenario, points, phi, quantities, convention = task
     params = [ModelParams.for_scenario(scenario, p, r, phi) for p, r in points]
-    chunk = _Chunk([accelerate_closed(point) for point in params], Convention(convention_value))
-    columns = [(name, _QUANTITY_TABLE[name](chunk)) for name in quantities]
-    records = [
-        SweepRecord(scenario_value, point.p, point.r_q, point.r_t, phi, name, values[k])
-        for k, point in enumerate(params)
-        for name, values in columns
-    ]
-    for record in records:
-        if not math.isfinite(record.value):
-            raise ValueError(f"non-finite value for {record}")
-    return records
+    chunk = _Chunk([accelerate_closed(point) for point in params], convention)
+    keys = [(point.p, point.r_q, point.r_t) for point in params]
+    columns = [_QUANTITY_TABLE[name](chunk) for name in quantities]
+    for name, values in zip(quantities, columns):
+        for key, value in zip(keys, values):
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite {name} value {value} at (p, r_q, r_t) = {key}")
+    return keys, columns
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -183,45 +170,53 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 class Sweep:
-    """A validated sweep's records, sized from the config and evaluated anew
-    on each iteration: ascending p, r and quantity name, chunk by chunk.  A
-    chunk that holds a non-finite value raises before any of it is yielded.
-    A pool keeps at most two chunks per worker submitted and not yet
-    yielded, so finished chunks cannot pile up ahead of a slow reader."""
+    """A validated sweep, sized from the config and evaluated anew on each
+    pass, chunk by chunk in key order.  A chunk holding a non-finite value
+    raises before any of it is handed on.  A pool keeps at most two chunks
+    per worker in flight, so finished chunks cannot pile up ahead of a slow reader."""
 
     def __init__(self, config: SweepConfig):
         config.validate()
         self.config = config
+        self.phi = config.phi + 0.0  # -0.0 becomes 0.0, as p and r do in chunks()
+        self.quantities = tuple(sorted(config.quantities))
 
     def __len__(self) -> int:
-        return len(self.config.p_values) * len(self.config.r_values) * len(self.config.quantities)
+        return len(self.config.p_values) * len(self.config.r_values) * len(self.quantities)
 
-    def __iter__(self):
+    def chunks(self):
+        """Each chunk's ``(p, r_q, r_t)`` points and a value list per name in ``quantities``."""
         config = self.config
         # x + 0.0 maps -0.0 to 0.0 and leaves every other float as it is, so a
         # grid point has one key and one spelling in CSV and JSON alike.
         points = itertools.product(sorted(p + 0.0 for p in config.p_values),
                                    sorted(r + 0.0 for r in config.r_values))
-        quantities = tuple(sorted(config.quantities))
-        tasks = ((config.scenario.value, chunk, config.phi + 0.0, quantities, config.convention.value)
+        tasks = ((config.scenario, chunk, self.phi, self.quantities, config.convention)
                  for chunk in iter(lambda: list(itertools.islice(points, CHUNK)), []))
         workers = _pool_size(config.workers, math.ceil(len(config.p_values) * len(config.r_values) / CHUNK))
         if workers == 1:
-            yield from itertools.chain.from_iterable(map(_evaluate_chunk, tasks))
+            yield from map(_evaluate_chunk, tasks)
             return
         from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
         with ProcessPoolExecutor(max_workers=workers) as pool:
             window = collections.deque()
             for task in tasks:
                 if len(window) == 2 * workers:
-                    yield from window.popleft().result()
+                    yield window.popleft().result()
                 window.append(pool.submit(_evaluate_chunk, task))
             while window:
-                yield from window.popleft().result()
+                yield window.popleft().result()
+
+    def __iter__(self):
+        """Each (grid point, quantity) as a :class:`SweepRecord`, in key order."""
+        for points, columns in self.chunks():
+            for (p, r_q, r_t), values in zip(points, zip(*columns)):
+                for name, value in zip(self.quantities, values):
+                    yield SweepRecord(self.config.scenario.value, p, r_q, r_t, self.phi, name, value)
 
 
 def run_sweep(config: SweepConfig) -> Sweep:
-    """Validate a sweep and return its records as a sized lazy stream."""
+    """Validate a sweep and return it as a sized lazy stream of chunks and records."""
     return Sweep(config)
 
 
@@ -239,48 +234,51 @@ def format_value(value: float) -> str:
     return f"{value:.{11 - exponent}f}"
 
 
-def _json_scalar(value) -> str:
-    """``value`` as ``json.dumps`` renders it; finite floats (numpy ones
-    too) and strings take the shortcuts ``json`` itself takes."""
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return json.dumps(value)
+def _csv_lines(sweep: Sweep):
+    scenario, phi = sweep.config.scenario.value, format_value(sweep.phi)
+    yield CSV_HEADER + "\n"
+    for points, columns in sweep.chunks():
+        for (p, r_q, r_t), values in zip(points, zip(*columns)):
+            key = f"{scenario},{format_value(p)},{format_value(r_q)},{format_value(r_t)},{phi},"
+            for name, value in zip(sweep.quantities, values):
+                yield f"{key}{name},{format_value(value)}\n"
 
 
-def write_output(records, path, fmt: str = "csv") -> None:
-    """Persist records as CSV (pinned header, 12 significant digits) or JSON.
+def _json_lines(sweep: Sweep):
+    """``json.dumps([asdict(r) for r in sweep], indent=2)`` and a newline; no name needs escaping."""
+    number = float.__repr__  # as json writes a finite float
+    head = f'  {{\n    "scenario": "{sweep.config.scenario.value}",\n    "p": '
+    tail = f',\n    "phi": {number(sweep.phi)},\n    "quantity": "'
+    before = "[\n"
+    for points, columns in sweep.chunks():
+        for (p, r_q, r_t), values in zip(points, zip(*columns)):
+            key = f'{head}{number(p)},\n    "r_q": {number(r_q)},\n    "r_t": {number(r_t)}{tail}'
+            yield before + ",\n".join(f'{key}{name}",\n    "value": {number(value)}\n  }}'
+                                       for name, value in zip(sweep.quantities, values))
+            before = ",\n"
+    yield "\n]\n"
 
-    JSON bytes are those of ``json.dump([asdict(r) ...], indent=2)`` plus a
-    newline, streamed record by record.  The file is rendered into a
-    temporary file beside the target, symlinks resolved, and moved into
-    place, so a failed write leaves the target as it was.  A target that
-    exists and is not a regular file is rejected untouched.
+
+def write_output(sweep: Sweep, path, fmt: str = "csv") -> None:
+    """Write a sweep from :func:`run_sweep` chunk by chunk as CSV (pinned
+    header, 12 significant digits) or as JSON with the bytes of
+    ``json.dump([asdict(r) for r in sweep], indent=2)`` plus a newline.
+
+    The file is rendered into a temporary file beside the target, symlinks
+    resolved, and moved into place, so a failed write leaves the target as
+    it was.  A target that exists and is not a regular file is rejected
+    untouched.
     """
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
     target = os.path.realpath(path)
     if os.path.exists(target) and not os.path.isfile(target):
         raise ConfigError(f"output {path} exists and is not a regular file")
-    tmp = f"{target}.{os.getpid()}.tmp"
+    # Short enough for any valid target name; open gives it the mode of a new target.
+    tmp = os.path.join(os.path.dirname(target), f".unruh-steering-{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            if fmt == "csv":
-                fh.write(CSV_HEADER + "\n")
-                for rec in records:
-                    fh.write(
-                        f"{rec.scenario},{format_value(rec.p)},{format_value(rec.r_q)},"
-                        f"{format_value(rec.r_t)},{format_value(rec.phi)},{rec.quantity},"
-                        f"{format_value(rec.value)}\n"
-                    )
-            else:
-                fh.write("[")
-                separator = "\n"
-                for rec in records:
-                    fh.write(separator + _JSON_RECORD.format(*map(_json_scalar, _record_values(rec))))
-                    separator = ",\n"
-                fh.write("]\n" if separator == "\n" else "\n]\n")
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.writelines(_csv_lines(sweep) if fmt == "csv" else _json_lines(sweep))
         os.replace(tmp, target)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc

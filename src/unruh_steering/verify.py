@@ -18,10 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import HERMITICITY_ATOL, PSD_EIGENVALUE_FLOOR
-from .measures import Convention, joint_distribution, lqu, standard_observables
+from .measures import LQU_ATOL, PROB_ATOL, Convention, joint_distribution, lqu, standard_observables
 from .model import (
+    BASIS_8,
     FACTOR_DIMS,
     ModelParams,
+    PAIR,
     R_MAX,
     RegionIState,
     Scenario,
@@ -74,13 +76,11 @@ class VerificationReport:
 
 
 def _sweep(scenario: Scenario, p_values, r_values, quantities, convention=Convention.AS_PRINTED):
-    """The sweep's values of each quantity as a ``(p, r)`` array, read in
-    one pass over its record stream.  The stream walks ascending p, r and
-    quantity name, so ascending grids reshape in place."""
-    config = SweepConfig(scenario, p_values, r_values, quantities=quantities, convention=convention)
-    values = np.array([record.value for record in run_sweep(config)])
-    values = values.reshape(len(p_values), len(r_values), len(quantities))
-    return {name: values[..., k] for k, name in enumerate(sorted(quantities))}
+    """The sweep's values of each quantity as a ``(p, r)`` array, read from its column
+    chunks: they walk ascending p and r, so ascending grids reshape in place."""
+    sweep = run_sweep(SweepConfig(scenario, p_values, r_values, quantities=quantities, convention=convention))
+    values = np.concatenate([np.array(columns) for _, columns in sweep.chunks()], axis=1)
+    return dict(zip(sweep.quantities, values.reshape(-1, len(p_values), len(r_values))))
 
 
 def _excess(values, high: float) -> float:
@@ -154,7 +154,7 @@ def _check_as_printed() -> CheckResult:
     worst = 0.0
     worst_off_slot = 0.0
     worst_trace = 0.0
-    slot = 3  # labeled position of |1 0>
+    slot = BASIS_8.index((1, 0))
     for p in GRID_P:
         for r_q in GRID_R:
             for r_t in GRID_R[::2]:
@@ -163,9 +163,8 @@ def _check_as_printed() -> CheckResult:
                 oracle = accelerate_oracle(params).matrix
                 diff = np.abs(printed - oracle)
                 worst = max(worst, float(diff.max()))
-                masked = diff.copy()
-                masked[slot, slot] = 0.0
-                worst_off_slot = max(worst_off_slot, float(masked.max()))
+                diff[slot, slot] = 0.0
+                worst_off_slot = max(worst_off_slot, float(diff.max()))
                 worst_trace = max(worst_trace, abs(float(printed.trace().real) - 1.0))
     detected = worst > 1e-6 and worst_off_slot < 1e-12
     detail = (
@@ -187,7 +186,7 @@ def _line_figures() -> dict[str, float]:
     p = np.array(LINE_P)
     closed_forms = (1.0 - 1.5 * p * p - (1.0 - 2.0 * p) ** 2, 0.5, 1.0 - (1.0 - p) ** 2 / 2.0 - p * p)
     decoherence = max(float(np.abs(line[name] - form).max()) for name, form in zip(DECOHERENCE, closed_forms))
-    mixed = np.diag([1.0] * 6 + [0.0] * 2) / 6.0  # maximally mixed over the six inertial levels
+    mixed = np.diag([float(t != PAIR) for _, t in BASIS_8]) / 6.0  # uniform over the six inertial levels
     # At the symmetric points p = 0 and p = 0.5 the closed forms equal
     # 6 - S_AB and 4 - S_BA; in between the two directions share a
     # p-dependent offset.
@@ -302,9 +301,9 @@ def run_verify() -> VerificationReport:
             "decoherence_closed_form", worst["decoherence"] < 1e-12, worst["decoherence"],
             "11 p values, three closed forms; p=0 purity; grid range bounds",
         ),
-        CheckResult("lqu_anchors", worst["lqu"] < 1e-10, worst["lqu"], "anchors and [0, 1] range"),
+        CheckResult("lqu_anchors", worst["lqu"] < LQU_ATOL, worst["lqu"], "anchors and [0, 1] range"),
         CheckResult(
-            "joint_normalization", worst["joint"] < 1e-12, worst["joint"], "3 settings x 4 scenarios"
+            "joint_normalization", worst["joint"] < PROB_ATOL, worst["joint"], "3 settings x 4 scenarios"
         ),
         CheckResult(
             "steerability_range", worst["steering"] <= 0.0, worst["steering"], "both conventions"

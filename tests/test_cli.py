@@ -1,10 +1,12 @@
 import os
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from unruh_steering import cli, sweep
 from unruh_steering.cli import main
-from unruh_steering.sweep import CSV_HEADER, SweepRecord
+from unruh_steering.sweep import CSV_HEADER
 
 
 class TestSweepCommand:
@@ -173,11 +175,45 @@ class TestSweepCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_value_rounding_to_a_power_of_ten_keeps_twelve_digits(self, tmp_path, monkeypatch):
-        record = SweepRecord("none", 0.1, 0.0, 0.0, 0.0, "d_total", 9.9999999999999)
-        monkeypatch.setattr(cli, "run_sweep", lambda config: [record])
+        def rounding_values(matrices):
+            return SimpleNamespace(d_total=np.full(len(matrices), 9.9999999999999))
+
+        monkeypatch.setattr(sweep, "decoherence_stack", rounding_values)
         out = tmp_path / "x.csv"
-        assert main(["sweep", "--scenario", "none", "--p", "0.1", "--out", str(out)]) == 0
+        assert main(["sweep", "--scenario", "none", "--p", "0.1", "--quantities", "d_total", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].endswith(",d_total,10.0000000000")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec", ["0:1e400:3", "nan:0.5:1", "0:-inf:2", "-1e308:1e308:3"])
+    def test_non_finite_r_grid_is_a_one_line_config_error(self, tmp_path, capsys, spec):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--scenario", "qubit", "--p", "0.1", f"--r={spec}", "--quantities", "d_total",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --r: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_out_name_near_the_length_limit_is_written_with_the_mode_of_open(self, tmp_path, capsys):
+        out = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 7) + ".csv")
+        umask = os.umask(0o027)
+        try:
+            assert main(["sweep", "--scenario", "none", "--p", "0.1", "--quantities", "d_total",
+                         "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert len(out.read_text().splitlines()) == 2
+        assert os.stat(out).st_mode & 0o777 == 0o640
+        assert [entry.name for entry in tmp_path.iterdir()] == [out.name]
+
+    def test_out_name_past_the_length_limit_is_one_line_io_error(self, tmp_path, capsys):
+        out = tmp_path / ("a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 3) + ".csv")
+        code = main(["sweep", "--scenario", "none", "--p", "0.1", "--quantities", "d_total",
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o error: cannot write {out}: ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_required_setting(self, capsys):
         assert main(["sweep", "--p", "0.1"]) == 1

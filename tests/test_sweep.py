@@ -7,9 +7,11 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import asdict, replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,8 +155,8 @@ class TestRunSweep:
         ))
         assert serial == parallel
         path_a, path_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_output(serial, path_a)
-        write_output(parallel, path_b)
+        write_output(run_sweep(config), path_a)
+        write_output(run_sweep(replace(config, workers=2)), path_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_pool_size_is_capped_by_cpus_and_tasks(self, monkeypatch):
@@ -225,94 +227,110 @@ class TestFormatValue:
         assert format_value(value) == text
 
 
-class TestWriteOutput:
-    def test_empty_records_give_header_only_csv(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        write_output([], path, "csv")
-        assert path.read_text() == CSV_HEADER + "\n"
+def _one_record_sweep():
+    """d_qubit of the pure inertial state, one record."""
+    return run_sweep(SweepConfig(Scenario.NONE, p_values=(0.0,), quantities=("d_qubit",)))
 
+
+ONE_RECORD_CSV = (
+    f"{CSV_HEADER}\n"
+    "none,0.000000000000,0.000000000000,0.000000000000,0.000000000000,d_qubit,0.500000000000\n"
+)
+
+
+def _rendered(records, fmt):
+    """A file's text rendered record by record: through ``json.dumps`` or ``format_value``."""
+    if fmt == "json":
+        return json.dumps([asdict(record) for record in records], indent=2) + "\n"
+    numbers = [[format_value(x) for x in (r.p, r.r_q, r.r_t, r.phi, r.value)] for r in records]
+    return "".join([f"{CSV_HEADER}\n"] + [
+        f"{r.scenario},{p},{r_q},{r_t},{phi},{r.quantity},{value}\n"
+        for r, (p, r_q, r_t, phi, value) in zip(records, numbers)
+    ])
+
+
+class TestWriteOutput:
     def test_single_record_rendering(self, tmp_path):
-        record = SweepRecord("none", 0.0, 0.0, 0.0, 0.0, "d_qubit", 0.5)
         path = tmp_path / "one.csv"
-        write_output([record], path, "csv")
-        lines = path.read_text().splitlines()
-        assert lines == [
-            CSV_HEADER,
-            "none,0.000000000000,0.000000000000,0.000000000000,0.000000000000,d_qubit,0.500000000000",
-        ]
+        write_output(_one_record_sweep(), path, "csv")
+        assert path.read_text() == ONE_RECORD_CSV
 
     def test_json_round_trip(self, tmp_path):
         config = SweepConfig(
             Scenario.QUBIT, p_values=(0.1,), r_values=(0.0, 0.3), quantities=("d_total", "lqu")
         )
-        records = list(run_sweep(config))
         path = tmp_path / "records.json"
-        write_output(records, path, "json")
+        write_output(run_sweep(config), path, "json")
         loaded = [SweepRecord(**obj) for obj in json.loads(path.read_text())]
-        assert loaded == records
+        assert loaded == list(run_sweep(config))
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="format"):
-            write_output([], tmp_path / "x.bin", "parquet")
+            write_output(_one_record_sweep(), tmp_path / "x.bin", "parquet")
+        assert list(tmp_path.iterdir()) == []
 
     def test_io_error_reports_path(self, tmp_path):
-        with pytest.raises(OSError, match="missing"):
-            write_output([], tmp_path / "missing" / "x.csv", "csv")
+        with pytest.raises(OSError, match="cannot write .*missing"):
+            write_output(_one_record_sweep(), tmp_path / "missing" / "x.csv", "csv")
 
-    def test_failed_render_leaves_the_target_untouched(self, tmp_path):
+    def test_failed_render_leaves_the_target_untouched(self, tmp_path, monkeypatch):
         path = tmp_path / "out.csv"
         path.write_text("previous\n")
-        good = SweepRecord("none", 0.0, 0.0, 0.0, 0.0, "d_qubit", 0.5)
-        bad = SweepRecord("none", 0.1, 0.0, 0.0, 0.0, "d_qubit", math.nan)
-        with pytest.raises(ValueError):
-            write_output([good, bad], path, "csv")
+        rendered = []
+
+        def fail_on_the_second_point(value):
+            rendered.append(value)
+            if len(rendered) > 6:  # phi, then the first point's key and value
+                raise ValueError("render failed")
+            return format_value(value)
+
+        monkeypatch.setattr(sweep, "format_value", fail_on_the_second_point)
+        config = SweepConfig(Scenario.NONE, p_values=(0.0, 0.1), quantities=("d_qubit", "d_total"))
+        with pytest.raises(ValueError, match="render failed"):
+            write_output(run_sweep(config), path, "csv")
         assert path.read_text() == "previous\n"
         assert [entry.name for entry in tmp_path.iterdir()] == ["out.csv"]
 
     @pytest.mark.parametrize(
         "count, value",
-        [(0, None), (1, None), (50, None), (1, np.float64(0.1) / 3), (1, -0.0), (1, 1e-300)],
-        ids=["none", "one", "many", "np-float64", "negative-zero", "tiny"],
+        [(1, None), (50, None), (1, np.float64(0.1) / 3), (1, -0.0), (1, 1e-300)],
+        ids=["one", "many", "np-float64", "negative-zero", "tiny"],
     )
-    def test_json_bytes_equal_json_dump(self, tmp_path, count, value):
-        records = [
-            SweepRecord(
-                "both", np.float64(k / 7), 0.01 * k, R_MAX, -1.5, QUANTITIES[k % len(QUANTITIES)],
-                k / 3 if value is None else value,
-            )
-            for k in range(count)
-        ]
-        path = tmp_path / "records.json"
-        write_output(records, path, "json")
-        expected = json.dumps([dict(vars(r)) for r in records], indent=2) + "\n"
-        assert path.read_bytes() == expected.encode()
+    def test_json_bytes_equal_json_dump(self, tmp_path, monkeypatch, count, value):
+        def lqu_values(matrices):
+            index = np.arange(len(matrices))
+            return SimpleNamespace(value=index / 3 if value is None else np.full(len(matrices), value))
 
-    def test_json_escapes_strings_as_json_dump(self, tmp_path):
-        records = [
-            SweepRecord('qu"bit', 0.1, 0.2, 0.0, 0.0, "d_total", 0.5),
-            SweepRecord("both\\", 0.1, 0.2, 0.2, 0.0, "l\u00e9qu\u2192\U0001d70c", 0.25),
-        ]
+        monkeypatch.setattr(sweep, "lqu_stack", lqu_values)
+        p_count = 5 if count > 1 else 1
+        config = SweepConfig(
+            Scenario.BOTH,
+            p_values=tuple(np.float64(k / 14) for k in range(p_count)),  # numpy floats in the key fields
+            r_values=tuple(np.linspace(0.0, R_MAX, count // p_count)),
+            phi=-1.5,
+            quantities=("lqu",),
+        )
         path = tmp_path / "records.json"
-        write_output(records, path, "json")
-        expected = json.dumps([asdict(r) for r in records], indent=2) + "\n"
-        assert path.read_bytes() == expected.encode()
+        write_output(run_sweep(config), path, "json")
+        assert len(json.loads(path.read_text())) == count
+        assert path.read_text() == _rendered(list(run_sweep(config)), "json")
 
     def test_symlink_target_is_written_through(self, tmp_path):
         real = tmp_path / "real.csv"
         real.write_text("previous\n")
         link = tmp_path / "link.csv"
         link.symlink_to(real)
-        write_output([], link, "csv")
+        write_output(_one_record_sweep(), link, "csv")
         assert link.is_symlink()
-        assert real.read_text() == CSV_HEADER + "\n"
+        assert real.read_text() == ONE_RECORD_CSV
         assert sorted(entry.name for entry in tmp_path.iterdir()) == ["link.csv", "real.csv"]
 
     def test_dangling_symlink_creates_its_target(self, tmp_path):
         link = tmp_path / "link.csv"
         link.symlink_to(tmp_path / "new.csv")
-        write_output([], link, "csv")
+        write_output(_one_record_sweep(), link, "csv")
         assert link.is_symlink()
-        assert (tmp_path / "new.csv").read_text() == CSV_HEADER + "\n"
+        assert (tmp_path / "new.csv").read_text() == ONE_RECORD_CSV
 
     @pytest.mark.parametrize("via_link", [False, True])
     def test_fifo_target_is_rejected_untouched(self, tmp_path, via_link):
@@ -323,14 +341,49 @@ class TestWriteOutput:
             target = tmp_path / "link.csv"
             target.symlink_to(fifo)
         with pytest.raises(ConfigError, match="not a regular file"):
-            write_output([], target, "csv")
+            write_output(_one_record_sweep(), target, "csv")
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert len(list(tmp_path.iterdir())) == (2 if via_link else 1)
 
     def test_directory_target_is_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not a regular file"):
-            write_output([], tmp_path, "json")
+            write_output(_one_record_sweep(), tmp_path, "json")
         assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scenario=st.sampled_from(list(Scenario)),
+        convention=st.sampled_from(list(Convention)),
+        p_values=st.lists(st.just(-0.0) | st.floats(0.0, 0.5), min_size=1, max_size=3, unique=True),
+        r_values=st.lists(st.just(-0.0) | st.floats(0.0, R_MAX), min_size=1, max_size=3, unique=True),
+        phi=st.just(-0.0) | st.floats(-1e20, -1e-300) | st.floats(1e12, 1e300),
+        quantities=st.lists(st.sampled_from(QUANTITIES), min_size=1, unique=True),
+        chunk=st.integers(1, 4),
+    )
+    def test_written_text_equals_a_render_of_the_records(
+        self, scenario, convention, p_values, r_values, phi, quantities, chunk
+    ):
+        if scenario is Scenario.NONE:
+            r_values = r_values[:1]
+        config = SweepConfig(scenario, tuple(p_values), tuple(r_values), phi, tuple(quantities), convention)
+        with mock.patch.object(sweep, "CHUNK", chunk), tempfile.TemporaryDirectory() as directory:
+            records = list(run_sweep(config))
+            for fmt in ("csv", "json"):
+                path = os.path.join(directory, f"out.{fmt}")
+                write_output(run_sweep(config), path, fmt)
+                with open(path, encoding="utf-8", newline="") as fh:
+                    assert fh.read() == _rendered(records, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pool_written_text_equals_a_render_of_the_records(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(sweep, "CHUNK", 2)
+        config = SweepConfig(
+            Scenario.BOTH, p_values=(0.3, -0.0, 0.1), r_values=(0.5, 0.0, 0.2), phi=-2.5,
+            quantities=("steer_ab", "lqu", "d_total"), workers=2,
+        )
+        path = tmp_path / f"out.{fmt}"
+        write_output(run_sweep(config), path, fmt)
+        assert path.read_text() == _rendered(list(run_sweep(replace(config, workers=1))), fmt)
 
 
 class TestPresets:
